@@ -14,6 +14,8 @@ tail-sum diagnostics instead of a verdict.
 
 All checks allow a small absolute slack (default 1e-9) covering IEEE
 rounding of the objective differences and the scalar prox root tolerance.
+They fail closed: a step whose comparison involves a NaN or an infinity is
+a violation, reported with an infinite excess.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .prox import lower_bound
 from .solvers import IterationTrace, Schedule
 
 __all__ = [
-    "CertificationConfig",
     "ConditionReport",
     "RecursionCertificate",
     "RateEstimate",
@@ -43,24 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class CertificationConfig:
-    """Bundle of certification inputs (CLI convenience)."""
-
-    alpha: float
-    beta: float
-    eps_seq: tuple[float, ...] = ()
-    slack: float = DEFAULT_SLACK
-
-    def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
-        if not (self.beta > 0):
-            raise ValidationError(f"beta must be positive, got {self.beta}")
-        if any(e < 0 for e in self.eps_seq):
-            raise ValidationError("eps sequence must be nonnegative")
 
 
 @dataclass
@@ -99,6 +82,13 @@ def _eps_diagnostics(eps_sq):
     return total, tail / total
 
 
+def _excess(lhs: float, rhs: float) -> float:
+    """lhs - rhs, or inf when either side is not finite (fails closed)."""
+    if math.isfinite(lhs) and math.isfinite(rhs):
+        return lhs - rhs
+    return math.inf
+
+
 def certify_h1(
     trace: IterationTrace,
     alpha: float,
@@ -127,7 +117,7 @@ def certify_h1(
     for k in range(n_steps):
         lhs = trace.f_values[k + 1] - trace.f_values[k]
         rhs = -alpha * trace.step_norms[k] ** 2 + eps_sq[k]
-        excess = lhs - rhs
+        excess = _excess(lhs, rhs)
         if excess > worst:
             worst, worst_idx = excess, k
         if excess > slack:
@@ -215,7 +205,7 @@ def certify_h2(
     for k in range(n_steps):
         lhs = trace.residuals[k + 1]
         rhs = beta * trace.step_norms[k] + eps_seq[k]
-        excess = lhs - rhs
+        excess = _excess(lhs, rhs)
         if excess > worst:
             worst, worst_idx = excess, k
         if excess > slack:

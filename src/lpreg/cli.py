@@ -88,28 +88,21 @@ def _json_dump(path: Path, data) -> None:
         fh.write("\n")
 
 
-def cmd_generate(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_generate(args) -> tuple[int, dict | None]:
     prob, planted = problem.generate_instance(
         seed=args.seed, m=args.m, n=args.n, s=args.s,
         noise=args.noise, lam=args.lam, p=args.p,
     )
-    out = out_dir / args.out
+    out = args.out_dir / args.out
     problem.save_problem(out, prob)
-    planted_path = out_dir / (out.stem + "-planted.json")
+    planted_path = args.out_dir / (out.stem + "-planted.json")
     _json_dump(planted_path, {"x": [float(f"{v:.17g}") for v in planted]})
-    manifest = RunManifest(
-        command="generate", argv=sys.argv[1:],
+    _say(args, f"generate: wrote {out} (m={args.m} n={args.n} s={args.s})")
+    return EXIT_OK, dict(
         config={k: getattr(args, k) for k in ("seed", "m", "n", "s", "noise", "lam", "p")},
         seed=args.seed,
         outputs=[str(out), str(planted_path)],
-        wall_clock_s=time.perf_counter() - t0,
     )
-    manifest.write(out_dir)
-    _say(args, f"generate: wrote {out} (m={args.m} n={args.n} s={args.s})")
-    return EXIT_OK
 
 
 def _solver_config(args, prob) -> solvers.SolverConfig:
@@ -126,14 +119,11 @@ def _solver_config(args, prob) -> solvers.SolverConfig:
         inexact = solvers.Schedule.geometric(args.t_c, args.t_rho)
     return solvers.SolverConfig(
         v=v, max_iters=args.max_iters, stop_tol=args.tol,
-        inexact=inexact, knob=args.knob, seed=args.seed,
+        inexact=inexact, knob=args.knob,
     )
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_solve(args) -> tuple[int, dict | None]:
     prob = _load_problem_with_overrides(args)
     config = _solver_config(args, prob)
     run = {
@@ -142,10 +132,12 @@ def cmd_solve(args) -> int:
         "ipga2p": solvers.run_ipga_2p,
     }[args.algo]
     trace = run(prob, config)
-    trace_path = out_dir / args.trace_out
+    trace_path = args.out_dir / args.trace_out
     problem.save_trace(trace_path, trace)
-    manifest = RunManifest(
-        command="solve", argv=sys.argv[1:],
+    status = "converged" if trace.converged else "max-iters"
+    _say(args, f"solve[{args.algo}]: {status} after {len(trace) - 1} steps, "
+               f"F={trace.f_values[-1]:.12g}, trace -> {trace_path}")
+    return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE, dict(
         config={
             "algo": args.algo, "v": list(config.v),
             "max_iters": config.max_iters, "stop_tol": config.stop_tol,
@@ -153,22 +145,13 @@ def cmd_solve(args) -> int:
             "tau": [args.tau_c, args.tau_rho],
             "t": [args.t_c, args.t_rho],
         },
-        seed=args.seed,
+        seed=None,
         input_hashes={args.problem: _hash_file(args.problem)},
         outputs=[str(trace_path)],
-        wall_clock_s=time.perf_counter() - t0,
     )
-    manifest.write(out_dir)
-    status = "converged" if trace.converged else "max-iters"
-    _say(args, f"solve[{args.algo}]: {status} after {len(trace) - 1} steps, "
-               f"F={trace.f_values[-1]:.12g}, trace -> {trace_path}")
-    return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_prox_table(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_prox_table(args) -> tuple[int, dict | None]:
     zs = np.linspace(args.z_min, args.z_max, args.z_count)
     lines = ["z,v,lambda,p,argmin,value,tie"]
     for z in zs:
@@ -179,26 +162,20 @@ def cmd_prox_table(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        out = out_dir / args.out
+        out = args.out_dir / args.out
         out.write_text(text, encoding="utf-8")
         outputs = [str(out)]
         _say(args, f"prox-table: wrote {out} ({args.z_count} rows)")
     else:
         sys.stdout.write(text)
         outputs = []
-    RunManifest(
-        command="prox-table", argv=sys.argv[1:],
+    return EXIT_OK, dict(
         config={k: getattr(args, k) for k in ("z_min", "z_max", "z_count", "v", "lam", "p")},
         seed=None, outputs=outputs,
-        wall_clock_s=time.perf_counter() - t0,
-    ).write(out_dir)
-    return EXIT_OK
+    )
 
 
-def cmd_certify(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_certify(args) -> tuple[int, dict | None]:
     prob = problem.load_problem(args.problem)
     trace = problem.load_trace(args.trace)
     v_lo = args.v if args.v is not None else solvers.default_stepsize(prob)
@@ -210,7 +187,7 @@ def cmd_certify(args) -> int:
     if not math.isfinite(alpha) or alpha <= 0:
         print(f"error: nonpositive alpha {alpha}; stepsize too large?",
               file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None
     # CSV traces do not record which inexactness type produced eps_k, so by
     # default the checks run with eps = 0 (strictly conservative); the flag
     # feeds the stored column through as the eps_k^2 sequence instead.
@@ -221,24 +198,18 @@ def cmd_certify(args) -> int:
     else:
         h2 = analysis.certify_h2(prob, trace, beta=float(args.beta), v_lo=v_lo)
     report = {"h1": h1.as_dict(), "h2": h2.as_dict(), "ok": h1.ok and h2.ok}
-    out = out_dir / args.report_out
+    out = args.out_dir / args.report_out
     _json_dump(out, report)
-    RunManifest(
-        command="certify", argv=sys.argv[1:],
+    _say(args, json.dumps(report, sort_keys=True))
+    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED, dict(
         config={"alpha": args.alpha, "beta": args.beta, "v": v_lo},
         seed=None,
         input_hashes={p: _hash_file(p) for p in (args.problem, args.trace)},
         outputs=[str(out)],
-        wall_clock_s=time.perf_counter() - t0,
-    ).write(out_dir)
-    _say(args, json.dumps(report, sort_keys=True))
-    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+    )
 
 
-def cmd_rate(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_rate(args) -> tuple[int, dict | None]:
     trace = problem.load_trace(args.trace)
     if args.fstar is not None:
         f_star = args.fstar
@@ -248,7 +219,7 @@ def cmd_rate(args) -> int:
     else:
         print("error: rate needs --fstar or --problem for the reference value",
               file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None
     est = analysis.fit_rate(trace, "objective-gap", f_star=f_star,
                             tail_frac=args.tail_frac)
     report = {
@@ -257,24 +228,18 @@ def cmd_rate(args) -> int:
         "quantity": est.quantity,
         "linear_convergence_detected": est.linear_convergence_detected,
     }
-    out = out_dir / args.report_out
+    out = args.out_dir / args.report_out
     _json_dump(out, report)
-    RunManifest(
-        command="rate", argv=sys.argv[1:],
+    _say(args, json.dumps(report, sort_keys=True))
+    return EXIT_OK, dict(
         config={"tail_frac": args.tail_frac, "fstar": args.fstar},
         seed=None,
         input_hashes={args.trace: _hash_file(args.trace)},
         outputs=[str(out)],
-        wall_clock_s=time.perf_counter() - t0,
-    ).write(out_dir)
-    _say(args, json.dumps(report, sort_keys=True))
-    return EXIT_OK
+    )
 
 
-def cmd_certify_point(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_certify_point(args) -> tuple[int, dict | None]:
     prob = problem.load_problem(args.problem)
     x = np.asarray(json.loads(args.point), dtype=np.float64)
     report = optimality.classify_point(prob, x, fo_tol=args.fo_tol,
@@ -294,23 +259,17 @@ def cmd_certify_point(args) -> int:
             "n_samples": probe.n_samples, "violations": probe.violations,
         }
     print(json.dumps(data, sort_keys=True))
-    out = out_dir / args.report_out
+    out = args.out_dir / args.report_out
     _json_dump(out, data)
-    RunManifest(
-        command="certify-point", argv=sys.argv[1:],
+    return EXIT_OK, dict(
         config={"fo_tol": args.fo_tol, "so_tol": args.so_tol},
         seed=args.seed,
         input_hashes={args.problem: _hash_file(args.problem)},
         outputs=[str(out)],
-        wall_clock_s=time.perf_counter() - t0,
-    ).write(out_dir)
-    return EXIT_OK
+    )
 
 
-def cmd_enumerate(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_enumerate(args) -> tuple[int, dict | None]:
     prob = problem.load_problem(args.problem)
     result = optimality.enumerate_local_minima(prob, seed=args.seed)
     data = {
@@ -329,48 +288,39 @@ def cmd_enumerate(args) -> int:
         ],
     }
     print(json.dumps(data, sort_keys=True))
-    out = out_dir / args.report_out
+    out = args.out_dir / args.report_out
     _json_dump(out, data)
-    RunManifest(
-        command="enumerate", argv=sys.argv[1:],
+    return EXIT_OK, dict(
         config={}, seed=args.seed,
         input_hashes={args.problem: _hash_file(args.problem)},
         outputs=[str(out)],
-        wall_clock_s=time.perf_counter() - t0,
-    ).write(out_dir)
-    return EXIT_OK
+    )
 
 
-def cmd_repro(args) -> int:
-    t0 = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_repro(args) -> tuple[int, dict | None]:
     if args.experiment not in experiments.EXPERIMENTS:
         print(f"error: unknown experiment {args.experiment!r}; "
               f"known: {sorted(experiments.EXPERIMENTS)}", file=sys.stderr)
-        return EXIT_USAGE
-    kwargs = {}
-    if args.experiment == "prox-pin":
-        kwargs["processes"] = args.threads
-    result = experiments.run_experiment(args.experiment, **kwargs)
+        return EXIT_USAGE, None
+    result = experiments.run_experiment(args.experiment)
     outputs = []
     for name, text in sorted(result.files.items()):
-        path = out_dir / name
+        path = args.out_dir / name
         path.write_text(text, encoding="utf-8")
         outputs.append(str(path))
-    RunManifest(
-        command=f"repro-{args.experiment}", argv=sys.argv[1:],
-        config={"experiment": args.experiment},
-        seed=None, outputs=outputs,
-        wall_clock_s=time.perf_counter() - t0,
-    ).write(out_dir)
     if result.ok:
         _say(args, f"repro {args.experiment}: PASS ({len(outputs)} files)")
-        return EXIT_OK
-    _say(args, f"repro {args.experiment}: FAIL")
-    for f in result.failures:
-        print(f"  {f}", file=sys.stderr)
-    return EXIT_CHECK_FAILED
+        code = EXIT_OK
+    else:
+        _say(args, f"repro {args.experiment}: FAIL")
+        for f in result.failures:
+            print(f"  {f}", file=sys.stderr)
+        code = EXIT_CHECK_FAILED
+    return code, dict(
+        command=f"repro-{args.experiment}",
+        config={"experiment": args.experiment},
+        seed=None, outputs=outputs,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solvers and certification tools for lp-regularized "
                     "least squares (0 < p < 1).",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count for parallelizable stages")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--out-dir", default=".")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -412,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-iters", type=int, default=100_000)
     s.add_argument("--tol", type=float, default=1e-10)
     s.add_argument("--knob", type=float, default=0.9)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--trace-out", default="trace.csv")
     s.set_defaults(func=cmd_solve)
 
@@ -471,19 +418,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse, run the command and write its manifest into ``--out-dir``.
+
+    Each ``cmd_*`` returns its exit code and its manifest fields, or None
+    for the fields when it stopped with a usage error before any output.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except LpregError as exc:
+        args.out_dir = Path(args.out_dir)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        code, fields = args.func(args)
+    except (LpregError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if fields is not None:
+        fields.setdefault("command", args.command)
+        RunManifest(argv=sys.argv[1:], wall_clock_s=time.perf_counter() - t0,
+                    **fields).write(args.out_dir)
+    return code
 
 
 if __name__ == "__main__":

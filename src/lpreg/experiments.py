@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,14 +95,8 @@ def _oracle_compare(q: prox.ProxQuery):
     return argmin_err, value_err, law_ok, half_err
 
 
-def exp_prox_pin(n_queries: int = 10_000, seed: int = 2024,
-                 processes: int = 1) -> ExperimentResult:
-    queries = sample_prox_queries(n_queries, seed)
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_oracle_compare, queries, chunksize=64))
-    else:
-        results = [_oracle_compare(q) for q in queries]
+def exp_prox_pin(n_queries: int = 10_000, seed: int = 2024) -> ExperimentResult:
+    results = [_oracle_compare(q) for q in sample_prox_queries(n_queries, seed)]
     worst_argmin = max(r[0] for r in results)
     worst_value = max(r[1] for r in results)
     law_violations = sum(0 if r[2] else 1 for r in results)
@@ -240,15 +233,6 @@ def exp_pga_linear() -> ExperimentResult:
                             files, artifacts)
 
 
-def _certificates_valid(trace, rel_slack=1e-12):
-    for k in range(len(trace.step_norms)):
-        lhs = trace.coord_certified[k]
-        rhs = trace.coord_bounds[k]
-        if np.any(lhs > rhs + rel_slack * (1.0 + np.abs(rhs))):
-            return False
-    return True
-
-
 def _exp_ipga(algo: str) -> ExperimentResult:
     run = solvers.run_ipga_1p if algo == "ipga1p" else solvers.run_ipga_2p
     c, rho = TAU_SCHEDULE if algo == "ipga1p" else T_SCHEDULE
@@ -269,7 +253,7 @@ def _exp_ipga(algo: str) -> ExperimentResult:
         _, f_star = reference_solution(prob, algo=algo, inexact=cfg.inexact)
         n_hat = analysis.detect_support_identification(trace)
         fit, _ = fit_tail_rate(trace, f_star, n_hat)
-        certs = _certificates_valid(trace)
+        certs = not solvers._control_violations(trace, cfg.inexact, trace.eps_kind)
         dist = float(np.linalg.norm(trace.final_iterate - exact.final_iterate))
         same_basin = dist <= 1e-5
         matches += int(same_basin)

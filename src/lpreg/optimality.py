@@ -39,7 +39,6 @@ __all__ = [
     "growth_probe",
     "default_probe_delta",
     "enumerate_local_minima",
-    "find_global_minimum",
     "equivalence_harness",
 ]
 
@@ -186,7 +185,12 @@ _GRAD_TOL = 1e-11
 
 @dataclass
 class EnumerationResult:
-    """Local minima found, plus orthants whose search was inconclusive."""
+    """Local minima found, plus orthants whose search was inconclusive.
+
+    ``minima`` is sorted by objective value.  F is coercive, so its global
+    minimum is one of the finitely many local minima: ``minima[0]`` when
+    no orthant is incomplete.
+    """
 
     minima: list[tuple[np.ndarray, OptimalityReport]]
     incomplete: list[tuple[tuple[int, ...], tuple[int, ...]]]
@@ -338,23 +342,6 @@ def enumerate_local_minima(
         minima.append((zero, classify_point(prob, zero).with_growth(zero_probe)))
     minima.sort(key=lambda item: objective(prob, item[0]))
     return EnumerationResult(minima=minima, incomplete=incomplete)
-
-
-def find_global_minimum(prob: Problem) -> tuple[np.ndarray, float]:
-    """Global minimum by exhaustive local-minima enumeration (n <= 12).
-
-    F is coercive (the penalty grows in every coordinate), so the global
-    minimum exists and is one of the finitely many local minima; the zero
-    vector is always a candidate.
-    """
-    result = enumerate_local_minima(prob)
-    best_x = np.zeros(prob.n)
-    best_f = objective(prob, best_x)
-    for x, _ in result.minima:
-        f = objective(prob, x)
-        if f < best_f:
-            best_x, best_f = x, f
-    return best_x, best_f
 
 
 # ---------------------------------------------------------------------------

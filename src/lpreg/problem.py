@@ -247,7 +247,8 @@ def generate_instance(
 #
 # Trace file: CSV with header k,F,step_norm,residual,support_size,eps_k;
 # one row per recorded iterate, numbers with 17 significant digits.  The
-# final row's step_norm and eps_k are 0.0 (no successor iterate).
+# final row's step_norm and eps_k are 0.0 (no successor iterate).  Reading
+# rejects non-finite numbers, so a certificate never sees them.
 # ---------------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("m", "n", "p", "lambda", "A", "b")
@@ -342,13 +343,16 @@ def load_trace(path):
                     f"expected 6 columns, got {len(row)}", line=lineno
                 )
             try:
-                f_vals.append(float(row[1]))
-                steps.append(float(row[2]))
-                resids.append(float(row[3]))
+                f, step, resid, e = (float(row[i]) for i in (1, 2, 3, 5))
                 sizes.append(int(row[4]))
-                eps.append(float(row[5]))
             except ValueError as exc:
                 raise ProblemFormatError(str(exc), line=lineno) from exc
+            if not all(map(math.isfinite, (f, step, resid, e))):
+                raise ProblemFormatError(f"non-finite value in {row!r}", line=lineno)
+            f_vals.append(f)
+            steps.append(step)
+            resids.append(resid)
+            eps.append(e)
     # The CSV stores a 0.0 placeholder on the final row; drop it so the
     # step/eps sequences have one entry per actual step.
     return IterationTrace(

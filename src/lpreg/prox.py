@@ -201,35 +201,25 @@ def prox_scalar_half(z: float, v: float, lam: float) -> ProxResult:
     return _result(a, sgn, v, lam, 0.5, root)
 
 
-def prox_vector(x, v: float, prob: Problem, threads: int = 1) -> np.ndarray:
-    """Coordinate-wise prox with per-coordinate weights; 0 selected at ties.
+def prox_vector(z, v: float, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate-wise exact prox with per-coordinate weights.
 
-    Coordinates are independent; with ``threads > 1`` they are evaluated by a
-    thread pool into pre-assigned slots, so the output is identical to the
-    serial order.
+    Returns the selected minimizers (0 at ties) and the minimum values of
+    the scalar problems.  Coordinates are solved serially in index order by
+    ``prox_scalar``, so the output is bit-reproducible.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (prob.n,):
-        raise ValidationError(f"x has shape {x.shape}, expected ({prob.n},)")
-    lam = prob.lambda_vec
-    out = np.empty(prob.n)
-
-    def fill(i0, i1):
-        for i in range(i0, i1):
-            out[i] = prox_scalar(
-                ProxQuery(z=float(x[i]), v=v, lam=float(lam[i]), p=prob.p)
-            ).selection
-
-    if threads <= 1 or prob.n < 2:
-        fill(0, prob.n)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = -(-prob.n // threads)
-        spans = [(i, min(i + chunk, prob.n)) for i in range(0, prob.n, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: fill(*s), spans))
-    return out
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (prob.n,):
+        raise ValidationError(f"z has shape {z.shape}, expected ({prob.n},)")
+    p = prob.p
+    selection, value = [], []
+    # each result is dropped at once: holding n of them alive would wake
+    # the cyclic garbage collector several times per call
+    for zi, li in zip(z.tolist(), prob.lambda_vec.tolist()):
+        res = prox_scalar(ProxQuery(z=zi, v=v, lam=li, p=p))
+        selection.append(res.selection)
+        value.append(res.value)
+    return np.array(selection), np.array(value)
 
 
 def prox_inexact_value(
@@ -242,6 +232,12 @@ def prox_inexact_value(
     minimizer toward z and bisects on the perturbation, so the output is
     deterministic; the achieved gap is recomputed against the certified
     minimum and never exceeds the budget.
+
+    A budget below the rounding error of g at y* returns (y*, 0.0).  At a
+    threshold tie, for instance, the certified minimum is min(g(0), g(root))
+    while the selection is 0, so g(y*) may exceed it by up to
+    TIE_TOL * (1 + g(0)); prox_scalar declared both candidates minimizers,
+    so y* is exact and its gap is 0.
     """
     if not (eps_budget >= 0.0 and math.isfinite(eps_budget)):
         raise ValidationError(f"eps budget must be nonnegative, got {eps_budget}")
@@ -271,6 +267,8 @@ def prox_inexact_value(
                 s_lo = s_mid
         y, gap = gap_at(s_lo)
     while gap > eps_budget:  # float guard; bisection leaves margin
+        if y == y_star:
+            return y_star, 0.0
         y = y_star + 0.5 * (y - y_star)
         gap = _g(q.z, q.v, q.lam, q.p, y) - exact.value
     return y, max(gap, 0.0)

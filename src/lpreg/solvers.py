@@ -19,7 +19,11 @@ perturbation per coordinate at every iteration:
 * ``run_ipga_2p`` (distance-type): coordinate i may return any point within
   t_k * |x_i^{k+1} - x_i^k| of the exact minimizer (t_k < 1); the
   perturbation s = knob * t_k * |y* - x_i| / (1 - t_k), applied away from
-  x_i, meets the bound with equality at knob = 1.
+  x_i, meets the bound with equality at knob = 1.  Coordinates whose exact
+  selection is 0 are left unperturbed.
+
+All three share one loop: the exact prox of the whole vector is computed
+once per iteration by ``prox_vector``, and the inexact variants perturb it.
 
 With a zero inexactness schedule both variants reproduce ``run_pga``
 bit-for-bit.  Traces are bit-reproducible: the solver loop is single
@@ -42,7 +46,7 @@ from .problem import (
     objective,
     spectral_norm_sq,
 )
-from .prox import ProxQuery, prox_inexact_value, prox_scalar
+from .prox import ProxQuery, prox_inexact_value, prox_vector
 
 __all__ = [
     "Schedule",
@@ -126,7 +130,6 @@ class SolverConfig:
     stop_tol: float = 1e-10
     inexact: Schedule = field(default_factory=Schedule.zero)
     knob: float = 0.9
-    seed: int = 0
     store_iterates: bool | None = None
 
     def __post_init__(self):
@@ -294,8 +297,15 @@ class _Recorder:
         )
 
 
-def _iterate(prob, config, x0, algo, eps_kind, step_fn, keep_coords=False):
-    """Common solver loop; ``step_fn`` maps (k, x, z, v) to the next iterate."""
+def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
+    """The solver loop shared by all three methods.
+
+    Each iteration takes the gradient step z, computes the exact prox of z
+    with ``prox_vector`` and passes it to ``perturb(k, x, z, v, y_star,
+    value)``, which returns the next iterate, the step's eps and the
+    per-coordinate certificates and bounds.  Without ``perturb`` the exact
+    prox is the next iterate.
+    """
     config.validate(prob)
     if x0 is None:
         x = np.zeros(prob.n)
@@ -303,13 +313,17 @@ def _iterate(prob, config, x0, algo, eps_kind, step_fn, keep_coords=False):
         x = np.array(x0, dtype=np.float64, copy=True)
         if x.shape != (prob.n,):
             raise ValidationError(f"x0 has shape {x.shape}, expected ({prob.n},)")
-    rec = _Recorder(prob, config, algo, eps_kind, keep_coords)
+    rec = _Recorder(prob, config, algo, eps_kind, perturb is not None)
     rec.snapshot(x)
     converged = False
     for k in range(config.max_iters):
         v = config.stepsize(k)
         z = x - v * gradient_smooth(prob, x)
-        x_new, eps, certified, bounds = step_fn(k, x, z, v)
+        y_star, value = prox_vector(z, v, prob)
+        if perturb is None:
+            x_new, eps, certified, bounds = y_star, 0.0, None, None
+        else:
+            x_new, eps, certified, bounds = perturb(k, x, z, v, y_star, value)
         step_norm = float(np.linalg.norm(x_new - x))
         if step_norm == 0.0:
             # exact fixed point: recording the duplicate iterate adds nothing
@@ -326,125 +340,115 @@ def _iterate(prob, config, x0, algo, eps_kind, step_fn, keep_coords=False):
 
 def run_pga(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
     """Exact proximal gradient iteration."""
-    lam = prob.lambda_vec
-
-    def step(k, x, z, v):
-        x_new = np.empty(prob.n)
-        for i in range(prob.n):
-            x_new[i] = prox_scalar(
-                ProxQuery(z=float(z[i]), v=v, lam=float(lam[i]), p=prob.p)
-            ).selection
-        return x_new, 0.0, None, None
-
-    return _iterate(prob, config, x0, "pga", "none", step)
+    return _iterate(prob, config, x0, "pga", "none")
 
 
 def run_ipga_1p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
     """Parallel value-type inexact variant.
 
-    Each coordinate proposes a perturbed point whose budget is implied by
-    its own displacement, then shrinks the perturbation geometrically until
-    the certified gap fits the implied budget (the exact minimizer, with
-    gap 0, is the 200-shrink fallback).  eps_values collects the summed
-    certified gaps, which bound the value inexactness of the whole step.
+    Each moving coordinate proposes a perturbed point whose budget is
+    implied by its own displacement, then shrinks the perturbation
+    geometrically until the certified gap fits the implied budget (the
+    exact minimizer, with gap 0, is the 200-shrink fallback).  eps_values
+    collects the summed certified gaps, which bound the value inexactness
+    of the whole step.
     """
-    lam = prob.lambda_vec
+    lam = prob.lambda_vec.tolist()
     tau_sched = config.inexact
 
-    def step(k, x, z, v):
+    def perturb(k, x, z, v, y_star, value):
         tau = tau_sched.value(k)
-        x_new = np.empty(prob.n)
+        x_new = y_star.copy()
         gaps = np.zeros(prob.n)
-        budgets = np.zeros(prob.n)
-        for i in range(prob.n):
-            q = ProxQuery(z=float(z[i]), v=v, lam=float(lam[i]), p=prob.p)
-            exact = prox_scalar(q)
-            y_star = exact.selection
-            xi = float(x[i])
-            if tau == 0.0 or y_star == xi:
-                x_new[i] = y_star
-                budgets[i] = tau * (y_star - xi) ** 2
-                continue
-            y, gap = prox_inexact_value(q, tau * (y_star - xi) ** 2, config.knob)
+        budgets = tau * (y_star - x) ** 2
+        if tau == 0.0:
+            return x_new, 0.0, gaps, budgets
+        for i in np.flatnonzero(y_star != x).tolist():
+            q = ProxQuery(z=float(z[i]), v=v, lam=lam[i], p=prob.p)
+            ys, xi, g_min = float(y_star[i]), float(x[i]), float(value[i])
+            y, gap = prox_inexact_value(q, tau * (ys - xi) ** 2, config.knob)
             for _ in range(200):
-                implied = tau * (y - xi) ** 2
-                if gap <= implied:
+                if gap <= tau * (y - xi) ** 2:
                     break
-                y = y_star + 0.5 * (y - y_star)
-                gap = (
-                    q.lam * abs(y) ** q.p
-                    + (y - q.z) ** 2 / (2.0 * q.v)
-                    - exact.value
-                )
+                y = ys + 0.5 * (y - ys)
+                gap = q.lam * abs(y) ** q.p + (y - q.z) ** 2 / (2.0 * q.v) - g_min
             else:
-                y, gap = y_star, 0.0
+                y, gap = ys, 0.0
             x_new[i] = y
             gaps[i] = max(gap, 0.0)
             budgets[i] = tau * (y - xi) ** 2
         return x_new, math.fsum(gaps.tolist()), gaps, budgets
 
-    return _iterate(prob, config, x0, "ipga1p", "value", step, keep_coords=True)
+    return _iterate(prob, config, x0, "ipga1p", "value", perturb)
 
 
 def run_ipga_2p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
-    """Parallel distance-type inexact variant (t_k < 1 required)."""
-    lam = prob.lambda_vec
+    """Parallel distance-type inexact variant (t_k < 1 required).
+
+    A coordinate whose exact selection is 0 stays 0: that is a minimizer at
+    distance 0, and perturbing it would only walk it through subnormal
+    magnitudes.
+    """
     t_sched = config.inexact
     if t_sched.max_value() >= 1.0:
         raise ValidationError("distance schedule requires t_k < 1 for every k")
 
-    def step(k, x, z, v):
+    def perturb(k, x, z, v, y_star, value):
         t_k = t_sched.value(k)
-        x_new = np.empty(prob.n)
-        dists = np.zeros(prob.n)
-        bounds = np.zeros(prob.n)
-        for i in range(prob.n):
-            q = ProxQuery(z=float(z[i]), v=v, lam=float(lam[i]), p=prob.p)
-            exact = prox_scalar(q)
-            y_star = exact.selection
-            delta = y_star - float(x[i])
-            if t_k == 0.0 or delta == 0.0:
-                x_new[i] = y_star
-                continue
-            s = config.knob * t_k * abs(delta) / (1.0 - t_k)
-            y = y_star + math.copysign(s, delta)
-            x_new[i] = y
-            dists[i] = min(abs(y - m) for m in exact.minimizers)
-            bounds[i] = t_k * abs(y - float(x[i]))
-        eps = math.sqrt(math.fsum((dists * dists).tolist()))
-        return x_new, eps, dists, bounds
+        delta = y_star - x
+        move = (delta != 0.0) & (y_star != 0.0)
+        s = config.knob * t_k * np.abs(delta) / (1.0 - t_k)
+        x_new = np.where(move, y_star + np.copysign(s, delta), y_star)
+        dists = np.where(move, np.abs(x_new - y_star), 0.0)
+        bounds = np.where(move, t_k * np.abs(x_new - x), 0.0)
+        return x_new, math.sqrt(math.fsum((dists * dists).tolist())), dists, bounds
 
-    return _iterate(prob, config, x0, "ipga2p", "dist", step, keep_coords=True)
+    return _iterate(prob, config, x0, "ipga2p", "dist", perturb)
+
+
+def _control_violations(trace: IterationTrace, schedule: Schedule, kind: str,
+                        rel_slack: float = 1e-12) -> list[int]:
+    """Steps whose inexactness certificates fail; non-finite values fail.
+
+    Step k fails when a coordinate's certified gap or distance
+    ``coord_certified[k]`` exceeds its bound ``coord_bounds[k]``, or when
+    the step's aggregate eps_k exceeds tau_k ||step_k||^2 (``kind``
+    "value") or t_k ||step_k|| (``kind`` "dist").
+    """
+    if trace.coord_certified is None or trace.eps_kind != kind:
+        raise ValidationError(f"trace carries no {kind} certificates")
+    if not trace.step_norms:
+        return []
+    steps = np.array(trace.step_norms)
+    limit = np.array([schedule.value(k) for k in range(len(steps))])
+    aggregate = limit * (steps ** 2 if kind == "value" else steps)
+    # one row per step: the coordinates' certificates, then the aggregate
+    lhs = np.column_stack([np.array(trace.coord_certified), trace.eps_values])
+    rhs = np.column_stack([np.array(trace.coord_bounds), aggregate])
+    ok = (np.isfinite(lhs) & np.isfinite(rhs)
+          & (lhs <= rhs + rel_slack * (1.0 + np.abs(rhs))))
+    return np.flatnonzero(~ok.all(axis=1)).tolist()
 
 
 def certify_value_control(trace: IterationTrace, tau: Schedule,
                           rel_slack: float = 1e-12):
-    """Check the aggregated value control sum_i gap_i^k <= tau_k ||step_k||^2.
+    """Check the value certificates of a run_ipga_1p trace.
 
-    The per-coordinate certificates already hold by construction; this
-    verifies that they add up to the whole-vector value-inexactness bound.
-    Returns (all_ok, list of violating k).
+    Every coordinate's gap must fit its own budget tau_k (x_i^{k+1} -
+    x_i^k)^2 and the summed gaps tau_k ||step_k||^2.  Returns (all_ok,
+    list of violating k).
     """
-    if trace.coord_certified is None or trace.eps_kind != "value":
-        raise ValidationError("trace carries no value certificates")
-    bad = []
-    for k, gaps in enumerate(trace.coord_certified):
-        lhs = math.fsum(gaps.tolist())
-        rhs = tau.value(k) * trace.step_norms[k] ** 2
-        if lhs > rhs + rel_slack * (1.0 + rhs):
-            bad.append(k)
-    return len(bad) == 0, bad
+    bad = _control_violations(trace, tau, "value", rel_slack)
+    return not bad, bad
 
 
 def certify_dist_control(trace: IterationTrace, t: Schedule,
                          rel_slack: float = 1e-12):
-    """Check the aggregated distance control ||d^k|| <= t_k ||step_k||."""
-    if trace.coord_certified is None or trace.eps_kind != "dist":
-        raise ValidationError("trace carries no distance certificates")
-    bad = []
-    for k, dists in enumerate(trace.coord_certified):
-        lhs = math.sqrt(math.fsum((dists * dists).tolist()))
-        rhs = t.value(k) * trace.step_norms[k]
-        if lhs > rhs + rel_slack * (1.0 + rhs):
-            bad.append(k)
-    return len(bad) == 0, bad
+    """Check the distance certificates of a run_ipga_2p trace.
+
+    Every coordinate's distance must fit t_k |x_i^{k+1} - x_i^k| and the
+    aggregate ||d^k|| must fit t_k ||step_k||.  Returns (all_ok, list of
+    violating k).
+    """
+    bad = _control_violations(trace, t, "dist", rel_slack)
+    return not bad, bad

@@ -146,7 +146,8 @@ def test_criterion_6_recursion_bound():
     print("\nACCEPTANCE 6 recursion-bound: PASS (1000 triples, 0 failures)")
 
 
-def test_criterion_7_condition_certification_closure(pga_linear, ipga1_linear):
+def test_criterion_7_condition_certification_closure(pga_linear, ipga1_linear,
+                                                     ipga2_linear):
     exp, _ = pga_linear
     for prob, cfg, trace in zip(exp.artifacts["problems"],
                                 exp.artifacts["configs"],
@@ -164,8 +165,12 @@ def test_criterion_7_condition_certification_closure(pga_linear, ipga1_linear):
         alpha = 1.0 / (2.0 * cfg.v_hi) - (spectral_norm_sq(prob) + SPECTRAL_TOL)
         h1 = certify_h1(trace, alpha=alpha)  # eps_k^2 = summed value gaps
         assert h1.ok, (h1.worst_index, h1.worst_violation)
+    exp2, _ = ipga2_linear
+    for prob, trace in zip(exp2.artifacts["problems"], exp2.artifacts["traces"]):
+        h2 = certify_h2(prob, trace, beta="auto")  # eps_k = distance norms
+        assert h2.ok, (h2.worst_index, h2.worst_violation)
     print("\nACCEPTANCE 7 condition-certification-closure: PASS "
-          "(20 exact + 20 value-type traces)")
+          "(20 exact + 20 value-type + 20 distance-type traces)")
 
 
 def test_criterion_8_reproducibility(prox_pin, pga_linear, ipga1_linear,

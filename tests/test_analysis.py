@@ -55,6 +55,22 @@ def test_h1_detects_ascent():
     assert report.violations == [1]
 
 
+def test_h1_fails_closed_on_nan():
+    trace = _fake_trace([1.0, np.nan, 0.5], [0.1, 0.1])
+    report = certify_h1(trace, alpha=1.0)
+    assert not report.ok
+    assert report.violations == [0, 1]
+    assert report.worst_violation == np.inf
+
+
+def test_h2_fails_closed_on_nan():
+    trace = _fake_trace([1.0, 0.9, 0.8], [0.1, 0.1], residuals=[0.0, np.nan, 0.0])
+    report = certify_h2(None, trace, beta=10.0)
+    assert not report.ok
+    assert report.violations == [0]
+    assert report.worst_violation == np.inf
+
+
 def test_h1_eps_allows_increase():
     trace = _fake_trace([1.0, 1.05, 1.0], [0.1, 0.1], eps=[0.2, 0.0])
     report = certify_h1(trace, alpha=1.0, eps_sq=[0.2, 0.1])

@@ -134,3 +134,16 @@ def test_certify_eps_from_trace(tmp_path):
     assert report["h1"]["ok"]
     assert not report["h2"]["ok"]
     assert code == 3
+
+
+def test_manifest_only_when_output_written(tmp_path):
+    out = str(tmp_path)
+    run_cli("--out-dir", out, "--quiet", "generate", "--out", "p.json")
+    manifest = json.loads((tmp_path / "generate-manifest.json").read_text())
+    assert set(manifest) == {"argv", "command", "config", "input_hashes",
+                             "outputs", "seed", "versions", "wall_clock_s"}
+    assert manifest["command"] == "generate" and manifest["seed"] == 1
+    code = run_cli("--out-dir", out, "--quiet", "rate",
+                   "--trace", str(tmp_path / "missing.csv"), "--fstar", "0")
+    assert code == 1
+    assert not (tmp_path / "rate-manifest.json").exists()

@@ -19,7 +19,6 @@ from lpreg.optimality import (
     CLASS_NOT_CRITICAL,
     CLASS_ZERO,
     default_probe_delta,
-    find_global_minimum,
     second_order_matrix,
 )
 
@@ -180,10 +179,12 @@ def test_enumerate_guard():
 
 
 def test_find_global_minimum(one_dim, one_dim_tstar):
-    x, f = find_global_minimum(one_dim)
+    result = enumerate_local_minima(one_dim)
+    assert not result.incomplete
+    x, _ = result.minima[0]
     # F(0) = 4 versus F(t*) ~ 1.38: the nonzero point wins
     assert abs(x[0] - one_dim_tstar) <= 1e-8
-    assert f < 4.0
+    assert objective(one_dim, x) < 4.0
 
 
 def test_harness_fixed_one_dim(one_dim):

@@ -248,6 +248,16 @@ def test_trace_roundtrip(tmp_path, small_instance):
     assert loaded.support_sizes == trace.support_sizes
 
 
+def test_trace_rejects_non_finite(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("k,F,step_norm,residual,support_size,eps_k\n"
+                    "0,1.0,0.5,0.0,1,0.0\n"
+                    "1,nan,0.0,0.0,1,0.0\n")
+    with pytest.raises(ProblemFormatError, match="line 3") as info:
+        load_trace(path)
+    assert info.value.line == 3
+
+
 def test_lp_norm_ordering_property():
     # sum |x|^p norms are ordered: ||x||_p >= ||x||_q for p <= q
     rng = np.random.default_rng(42)

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -98,10 +99,13 @@ def test_half_threshold_boundary_location():
 
 def test_prox_vector_zero_and_mixed():
     prob = Problem(A=np.eye(2), b=np.zeros(2), lam=1.0, p=0.5)
-    assert_allclose(prox_vector([0.0, 0.0], 1.0, prob), [0.0, 0.0])
-    out = prox_vector([0.5, 10.0], 1.0, prob)
-    assert out[0] == 0.0
-    assert abs(out[1] - 9.8406) < 1e-3
+    sel, value = prox_vector([0.0, 0.0], 1.0, prob)
+    assert_allclose(sel, [0.0, 0.0])
+    assert_allclose(value, [0.0, 0.0])
+    sel, value = prox_vector([0.5, 10.0], 1.0, prob)
+    assert sel[0] == 0.0
+    assert abs(sel[1] - 9.8406) < 1e-3
+    assert value[1] == prox_scalar(ProxQuery(z=10.0, v=1.0, lam=1.0, p=0.5)).value
 
 
 def test_prox_vector_permutation_equivariance():
@@ -109,23 +113,15 @@ def test_prox_vector_permutation_equivariance():
     prob = Problem(A=np.eye(5), b=np.zeros(5), lam=0.8, p=0.4)
     x = rng.standard_normal(5) * 3.0
     perm = rng.permutation(5)
-    out = prox_vector(x, 0.9, prob)
-    out_p = prox_vector(x[perm], 0.9, prob)
+    out, _ = prox_vector(x, 0.9, prob)
+    out_p, _ = prox_vector(x[perm], 0.9, prob)
     assert_allclose(out_p, out[perm], rtol=0, atol=0)
-
-
-def test_prox_vector_threads_match_serial():
-    rng = np.random.default_rng(3)
-    prob = Problem(A=np.eye(8), b=np.zeros(8), lam=1.1, p=0.6)
-    x = rng.standard_normal(8) * 5.0
-    assert_allclose(prox_vector(x, 1.2, prob, threads=3),
-                    prox_vector(x, 1.2, prob), rtol=0, atol=0)
 
 
 def test_prox_vector_weighted():
     prob = Problem(A=np.eye(2), b=np.zeros(2), lam=1.0, p=0.5,
                    weights=[1.0, 100.0])
-    out = prox_vector([3.0, 3.0], 1.0, prob)
+    out, _ = prox_vector([3.0, 3.0], 1.0, prob)
     assert out[0] != 0.0
     assert out[1] == 0.0  # heavy weight thresholds the coordinate away
 
@@ -270,3 +266,26 @@ def test_inexact_validation():
         prox_inexact_dist(q, -0.5)
     with pytest.raises(ValidationError):
         prox_inexact_value(q, 1.0, knob=2.0)
+
+
+def test_inexact_value_returns_at_a_tie():
+    # At this threshold tie prox_scalar selects 0 but reports the value of
+    # the nonzero root, so g(0) sits 3.7e-12 above the certified minimum:
+    # more than the budget.  The search must stop at y* instead of halving
+    # a zero perturbation forever.
+    q = ProxQuery(z=0.8189641269819701, v=0.09875652480916083,
+                  lam=4.085024172081335, p=0.5)
+    exact = prox_scalar(q)
+    assert exact.tie and g_val(q, exact.selection) - exact.value > 9.3e-13
+
+    def expire(signum, frame):
+        raise TimeoutError("prox_inexact_value did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        y, gap = prox_inexact_value(q, 9.3e-13)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (y, gap) == (exact.selection, 0.0)

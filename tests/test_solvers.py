@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from lpreg import (
     Problem,
+    certify_h2,
     default_stepsize,
     lower_bound,
     objective,
@@ -16,6 +17,7 @@ from lpreg import (
 from lpreg.errors import StepsizeError, ValidationError
 from lpreg.problem import SPECTRAL_TOL
 from lpreg.solvers import (
+    IterationTrace,
     Schedule,
     SolverConfig,
     certify_dist_control,
@@ -144,6 +146,49 @@ def test_ipga2p_per_coordinate_control(small_instance):
         assert np.all(dists <= bounds + 1e-12 * (1.0 + np.abs(bounds)))
     ok, bad = certify_dist_control(trace, t_sched)
     assert ok, bad
+
+
+def test_ipga2p_leaves_zero_selections_unperturbed(small_instance):
+    # A zero exact selection is a minimizer at distance 0.  Perturbing it
+    # walked coordinates through subnormal magnitudes and made the residual
+    # on the support overflow.
+    prob, _ = small_instance
+    t_sched = Schedule.geometric(0.3, 0.7)
+    trace = run_ipga_2p(prob, SolverConfig(v=default_stepsize(prob),
+                                           inexact=t_sched))
+    tiny = np.finfo(float).tiny
+    for x in trace.iterates:
+        assert not np.any((x != 0.0) & (np.abs(x) < tiny))
+    assert np.isfinite(trace.residuals).all()
+    h2 = certify_h2(prob, trace, beta="auto")  # eps_k from the trace
+    assert h2.ok, (h2.worst_index, h2.worst_violation)
+
+
+def _control_trace(kind, certified, bounds, eps):
+    return IterationTrace(
+        algo="fake", f_values=[1.0, 0.5], step_norms=[1.0], eps_values=[eps],
+        support_sizes=[2, 2], residuals=[0.0, 0.0], eps_kind=kind,
+        coord_certified=[np.array(certified)], coord_bounds=[np.array(bounds)],
+    )
+
+
+def test_control_checks_pass_within_bounds():
+    trace = _control_trace("value", [0.01, 0.02], [0.1, 0.1], 0.03)
+    assert certify_value_control(trace, Schedule.geometric(0.5, 0.5)) == (True, [])
+    trace = _control_trace("dist", [0.01, 0.02], [0.1, 0.1], 0.03)
+    assert certify_dist_control(trace, Schedule.geometric(0.5, 0.5)) == (True, [])
+
+
+def test_control_checks_fail_closed_on_nan():
+    trace = _control_trace("value", [0.01, np.nan], [0.1, 0.1], np.nan)
+    assert certify_value_control(trace, Schedule.geometric(0.5, 0.5)) == (False, [0])
+
+
+def test_control_checks_each_coordinate():
+    # the aggregate 0.2 fits t_k ||step|| = 0.5, but coordinate 0 exceeds
+    # its own bound
+    trace = _control_trace("dist", [0.2, 0.0], [0.1, 0.5], 0.2)
+    assert certify_dist_control(trace, Schedule.geometric(0.5, 0.5)) == (False, [0])
 
 
 def test_ipga2p_rejects_large_t():
