@@ -4,7 +4,7 @@ Core API:
 
 * :mod:`lpreg.problem` -- instances, objective, generators, file I/O
 * :mod:`lpreg.prox` -- certified scalar prox, closed form for p = 1/2,
-  inexact variants, brute-force oracle
+  value-type inexact perturbation, brute-force oracle
 * :mod:`lpreg.solvers` -- exact proximal gradient and two certified
   inexact variants
 * :mod:`lpreg.optimality` -- local-minimum tests and enumeration
@@ -30,7 +30,6 @@ from .prox import (  # noqa: F401
     ProxQuery,
     ProxResult,
     lower_bound,
-    prox_inexact_dist,
     prox_inexact_value,
     prox_oracle,
     prox_scalar,

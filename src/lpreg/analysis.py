@@ -82,11 +82,24 @@ def _eps_diagnostics(eps_sq):
     return total, tail / total
 
 
-def _excess(lhs: float, rhs: float) -> float:
-    """lhs - rhs, or inf when either side is not finite (fails closed)."""
-    if math.isfinite(lhs) and math.isfinite(rhs):
-        return lhs - rhs
-    return math.inf
+def _scan(lhs_seq, rhs_seq, slack: float):
+    """Violating steps, worst excess and its step, step k comparing
+    ``lhs_seq[k]`` with ``rhs_seq[k]``.
+
+    The excess is lhs - rhs, or inf when either side is not finite (fails
+    closed).  The worst excess is 0.0, at no step, when there are no steps.
+    """
+    violations = []
+    worst = -math.inf
+    worst_idx = None
+    for k, (lhs, rhs) in enumerate(zip(lhs_seq, rhs_seq)):
+        finite = math.isfinite(lhs) and math.isfinite(rhs)
+        excess = lhs - rhs if finite else math.inf
+        if excess > worst:
+            worst, worst_idx = excess, k
+        if excess > slack:
+            violations.append(k)
+    return violations, worst if worst_idx is not None else 0.0, worst_idx
 
 
 def certify_h1(
@@ -111,17 +124,11 @@ def certify_h1(
         raise ValidationError(
             f"eps sequence has {len(eps_sq)} entries, trace has {n_steps} steps"
         )
-    violations = []
-    worst = -math.inf
-    worst_idx = None
-    for k in range(n_steps):
-        lhs = trace.f_values[k + 1] - trace.f_values[k]
-        rhs = -alpha * trace.step_norms[k] ** 2 + eps_sq[k]
-        excess = _excess(lhs, rhs)
-        if excess > worst:
-            worst, worst_idx = excess, k
-        if excess > slack:
-            violations.append(k)
+    f = trace.f_values
+    violations, worst, worst_idx = _scan(
+        [b - a for a, b in zip(f, f[1:])],
+        [-alpha * s ** 2 + e for s, e in zip(trace.step_norms, eps_sq)],
+        slack)
     total, tail_frac = _eps_diagnostics(eps_sq[:n_steps])
     symbolic = None
     if schedule is not None and schedule.is_geometric:
@@ -130,7 +137,7 @@ def certify_h1(
         condition="sufficient-decrease",
         ok=not violations,
         violations=violations,
-        worst_violation=worst if worst_idx is not None else 0.0,
+        worst_violation=worst,
         worst_index=worst_idx,
         constant=alpha,
         eps_sum_sq=total,
@@ -161,7 +168,13 @@ def estimate_beta(prob: Problem, trace: IterationTrace, v_lo: float) -> float:
     else:
         min_mag = lower_bound(v_lo, prob.lambda_lower, p)
     lam_max = float(prob.lambda_vec.max())
-    l_phi = lam_max * p * (1.0 - p) * min_mag ** (p - 2.0)
+    try:
+        l_phi = lam_max * p * (1.0 - p) * min_mag ** (p - 2.0)
+    except OverflowError:
+        raise ValidationError(
+            f"tail iterate magnitude {min_mag!r} overflows |x_i|^(p-2) "
+            f"in the relative-error constant"
+        ) from None
     return 1.0 / v_lo + 2.0 * a_sq + l_phi
 
 
@@ -199,23 +212,16 @@ def certify_h2(
         raise ValidationError(
             f"eps sequence has {len(eps_seq)} entries, trace has {n_steps} steps"
         )
-    violations = []
-    worst = -math.inf
-    worst_idx = None
-    for k in range(n_steps):
-        lhs = trace.residuals[k + 1]
-        rhs = beta * trace.step_norms[k] + eps_seq[k]
-        excess = _excess(lhs, rhs)
-        if excess > worst:
-            worst, worst_idx = excess, k
-        if excess > slack:
-            violations.append(k)
+    violations, worst, worst_idx = _scan(
+        trace.residuals[1:],
+        [beta * s + e for s, e in zip(trace.step_norms, eps_seq)],
+        slack)
     total, tail_frac = _eps_diagnostics([e * e for e in eps_seq[:n_steps]])
     return ConditionReport(
         condition="relative-error",
         ok=not violations,
         violations=violations,
-        worst_violation=worst if worst_idx is not None else 0.0,
+        worst_violation=worst,
         worst_index=worst_idx,
         constant=beta,
         eps_sum_sq=total,

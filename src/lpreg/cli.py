@@ -106,12 +106,7 @@ def cmd_generate(args) -> tuple[int, dict | None]:
 
 
 def _solver_config(args, prob) -> solvers.SolverConfig:
-    if args.auto_v:
-        v = solvers.default_stepsize(prob)
-    elif args.v is not None:
-        v = args.v
-    else:
-        v = solvers.default_stepsize(prob)
+    v = args.v if args.v is not None else solvers.default_stepsize(prob)
     inexact = solvers.Schedule.zero()
     if args.algo == "ipga1p" and args.tau_c is not None:
         inexact = solvers.Schedule.geometric(args.tau_c, args.tau_rho)
@@ -126,12 +121,7 @@ def _solver_config(args, prob) -> solvers.SolverConfig:
 def cmd_solve(args) -> tuple[int, dict | None]:
     prob = _load_problem_with_overrides(args)
     config = _solver_config(args, prob)
-    run = {
-        "pga": solvers.run_pga,
-        "ipga1p": solvers.run_ipga_1p,
-        "ipga2p": solvers.run_ipga_2p,
-    }[args.algo]
-    trace = run(prob, config)
+    trace = solvers.runner(args.algo)(prob, config)
     trace_path = args.out_dir / args.trace_out
     problem.save_trace(trace_path, trace)
     status = "converged" if trace.converged else "max-iters"
@@ -350,9 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=float, default=None, help="override problem p")
     s.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="override problem lambda")
-    s.add_argument("--v", type=float, default=None)
-    s.add_argument("--auto-v", action="store_true",
-                   help="use the default stepsize rule (also the fallback)")
+    s.add_argument("--v", type=float, default=None,
+                   help="stepsize (default: 0.495 / ||A||^2)")
     s.add_argument("--tau-c", type=float, default=None)
     s.add_argument("--tau-rho", type=float, default=0.5)
     s.add_argument("--t-c", type=float, default=None)

@@ -149,12 +149,7 @@ def reference_solution(prob, algo: str = "pga",
         v=solvers.default_stepsize(prob), stop_tol=1e-13, max_iters=200_000,
         inexact=inexact or solvers.Schedule.zero(),
     )
-    run = {
-        "pga": solvers.run_pga,
-        "ipga1p": solvers.run_ipga_1p,
-        "ipga2p": solvers.run_ipga_2p,
-    }[algo]
-    trace = run(prob, cfg)
+    trace = solvers.runner(algo)(prob, cfg)
     x_star = trace.final_iterate
     return x_star, trace.f_values[-1]
 
@@ -234,7 +229,6 @@ def exp_pga_linear() -> ExperimentResult:
 
 
 def _exp_ipga(algo: str) -> ExperimentResult:
-    run = solvers.run_ipga_1p if algo == "ipga1p" else solvers.run_ipga_2p
     c, rho = TAU_SCHEDULE if algo == "ipga1p" else T_SCHEDULE
     rows = []
     failures = []
@@ -245,7 +239,7 @@ def _exp_ipga(algo: str) -> ExperimentResult:
         cfg = solvers.SolverConfig(
             v=v, inexact=solvers.Schedule.geometric(c, rho)
         )
-        trace = run(prob, cfg)
+        trace = solvers.runner(algo)(prob, cfg)
         artifacts["problems"].append(prob)
         artifacts["configs"].append(cfg)
         artifacts["traces"].append(trace)

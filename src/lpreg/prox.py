@@ -20,10 +20,10 @@ thresholding boundary, which is reported as a tie.  Vector application
 selects 0 at ties (sparsity-promoting; the tie set has measure zero and the
 minimizer set is set-valued there, so any selection is admissible).
 
-Inexactness is simulated with certificates: the exact minimizer is always
-computed first, and the returned point's value gap or distance is measured
-against it exactly, so solver-side inexactness controls can be checked a
-posteriori.
+Inexactness is simulated with certificates: ``prox_inexact_value``
+perturbs the exact vector prox returned by ``prox_vector`` and recomputes
+each coordinate's value gap against the certified minimum, so solver-side
+inexactness controls can be checked a posteriori.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "prox_scalar_half",
     "prox_vector",
     "prox_inexact_value",
-    "prox_inexact_dist",
     "prox_oracle",
 ]
 
@@ -222,82 +221,41 @@ def prox_vector(z, v: float, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
     return np.array(selection), np.array(value)
 
 
-def prox_inexact_value(
-    q: ProxQuery, eps_budget: float, knob: float = 0.9
-) -> tuple[float, float]:
-    """Point y with g(y) - min g <= eps_budget, plus its certified gap.
+def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
+                       tau: float, knob: float = 0.9):
+    """Value-type perturbation of the exact prox ``(y_star, value)`` of z.
 
-    knob=0 returns the exact (selected) minimizer; knob=1 targets the point
-    whose gap is closest to the budget.  The search perturbs the exact
-    minimizer toward z and bisects on the perturbation, so the output is
-    deterministic; the achieved gap is recomputed against the certified
-    minimum and never exceeds the budget.
+    Coordinate i may return any y_i whose scalar prox objective g_i lies
+    within its budget tau * (y_i - x_i)^2 of the minimum ``value[i]``.  A
+    coordinate moves only when its step delta = y*_i - x_i is nonzero and
+    y*_i != 0; it moves away from x_i by
 
-    A budget below the rounding error of g at y* returns (y*, 0.0).  At a
-    threshold tie, for instance, the certified minimum is min(g(0), g(root))
-    while the selection is 0, so g(y*) may exceed it by up to
-    TIE_TOL * (1 + g(0)); prox_scalar declared both candidates minimizers,
-    so y* is exact and its gap is 0.
+        s = min(sqrt(2 v knob tau) |delta|, |y*_i| / 2),
+
+    so y_i keeps the sign of y*_i.  On either side of 0, g_i'' <= 1/v, so
+    the true gap is at most s^2 / (2 v) <= knob * tau * delta^2: knob is
+    the share of the budget that this worst case may use.  A zero
+    selection, a tie included, stays at 0 with gap 0.
+
+    The certificate is the gap recomputed against ``value``.  A coordinate
+    whose recomputed gap exceeds its bound falls back to y*_i with gap 0.
+    Returns the point, the per-coordinate gaps and their bounds.
     """
-    if not (eps_budget >= 0.0 and math.isfinite(eps_budget)):
-        raise ValidationError(f"eps budget must be nonnegative, got {eps_budget}")
+    if not (tau >= 0.0 and math.isfinite(tau)):
+        raise ValidationError(f"tau must be nonnegative, got {tau}")
     if not (0.0 <= knob <= 1.0):
         raise ValidationError(f"knob must lie in [0, 1], got {knob}")
-    exact = prox_scalar(q)
-    y_star = exact.selection
-    if eps_budget == 0.0 or knob == 0.0 or q.z == y_star:
-        return y_star, 0.0
-
-    def gap_at(s):
-        y = y_star + s * (q.z - y_star)
-        return y, _g(q.z, q.v, q.lam, q.p, y) - exact.value
-
-    target = knob * eps_budget
-    y_hi, gap_hi = gap_at(1.0)
-    if gap_hi <= target:
-        y, gap = y_hi, gap_hi
-    else:
-        s_lo, s_hi = 0.0, 1.0
-        for _ in range(60):
-            s_mid = 0.5 * (s_lo + s_hi)
-            _, gap_mid = gap_at(s_mid)
-            if gap_mid > target:
-                s_hi = s_mid
-            else:
-                s_lo = s_mid
-        y, gap = gap_at(s_lo)
-    while gap > eps_budget:  # float guard; bisection leaves margin
-        if y == y_star:
-            return y_star, 0.0
-        y = y_star + 0.5 * (y - y_star)
-        gap = _g(q.z, q.v, q.lam, q.p, y) - exact.value
-    return y, max(gap, 0.0)
-
-
-def prox_inexact_dist(
-    q: ProxQuery, dist_budget: float, knob: float = 0.9
-) -> tuple[float, float]:
-    """Point y with |y - y*| <= dist_budget for the nearest exact minimizer.
-
-    The perturbation is the deterministic shift knob * dist_budget toward z,
-    clipped so y keeps the sign of y* when y* is nonzero.
-    """
-    if not (dist_budget >= 0.0 and math.isfinite(dist_budget)):
-        raise ValidationError(f"dist budget must be nonnegative, got {dist_budget}")
-    if not (0.0 <= knob <= 1.0):
-        raise ValidationError(f"knob must lie in [0, 1], got {knob}")
-    exact = prox_scalar(q)
-    y_star = exact.selection
-    if dist_budget == 0.0 or knob == 0.0:
-        return y_star, 0.0
-    step = knob * dist_budget * math.copysign(1.0, q.z - y_star)
-    if q.z == y_star:
-        step = 0.0
-    y = y_star + step
-    if y_star != 0.0 and y * y_star <= 0.0:
-        y = y_star - math.copysign(min(knob * dist_budget, abs(y_star) / 2.0), y_star)
-    achieved = min(abs(y - m) for m in exact.minimizers)
-    return y, achieved
+    delta = y_star - x
+    move = (delta != 0.0) & (y_star != 0.0)
+    s = np.minimum(math.sqrt(2.0 * v * knob * tau) * np.abs(delta),
+                   0.5 * np.abs(y_star))
+    y = np.where(move, y_star + np.copysign(s, delta), y_star)
+    g = prob.lambda_vec * np.abs(y) ** prob.p + (y - z) ** 2 / (2.0 * v)
+    gaps = np.where(move, np.maximum(g - value, 0.0), 0.0)
+    fallback = ~(gaps <= tau * (y - x) ** 2)  # a NaN gap falls back too
+    y = np.where(fallback, y_star, y)
+    gaps[fallback] = 0.0
+    return y, gaps, tau * (y - x) ** 2
 
 
 # ---------------------------------------------------------------------------

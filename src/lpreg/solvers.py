@@ -15,7 +15,10 @@ perturbation per coordinate at every iteration:
 
 * ``run_ipga_1p`` (value-type): coordinate i may return any point whose
   scalar prox objective lies within tau_k * (x_i^{k+1} - x_i^k)^2 of the
-  minimum; the achieved gap is recomputed against the certified minimum.
+  minimum; the shift s = min(sqrt(2 v knob tau_k) |y* - x_i|, |y*| / 2),
+  applied away from x_i, has a worst-case gap of knob times that budget,
+  and the achieved gap is recomputed against the certified minimum.
+  Coordinates whose exact selection is 0 are left unperturbed.
 * ``run_ipga_2p`` (distance-type): coordinate i may return any point within
   t_k * |x_i^{k+1} - x_i^k| of the exact minimizer (t_k < 1); the
   perturbation s = knob * t_k * |y* - x_i| / (1 - t_k), applied away from
@@ -46,7 +49,7 @@ from .problem import (
     objective,
     spectral_norm_sq,
 )
-from .prox import ProxQuery, prox_inexact_value, prox_vector
+from .prox import prox_inexact_value, prox_vector
 
 __all__ = [
     "Schedule",
@@ -56,6 +59,7 @@ __all__ = [
     "run_pga",
     "run_ipga_1p",
     "run_ipga_2p",
+    "runner",
     "residual_on_support",
     "certify_value_control",
     "certify_dist_control",
@@ -122,7 +126,10 @@ class SolverConfig:
 
     ``v`` is a constant stepsize or a per-iteration sequence (continued with
     its last entry).  ``inexact`` is interpreted as the tau_k schedule by
-    run_ipga_1p and as the t_k schedule by run_ipga_2p.
+    run_ipga_1p and as the t_k schedule by run_ipga_2p.  ``knob`` in [0, 1]
+    is the share of each coordinate's budget that the inexact variants use:
+    of the value budget by the worst-case gap (run_ipga_1p), of the distance
+    bound by the perturbation (run_ipga_2p).
     """
 
     v: float | tuple[float, ...]
@@ -346,38 +353,18 @@ def run_pga(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
 def run_ipga_1p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
     """Parallel value-type inexact variant.
 
-    Each moving coordinate proposes a perturbed point whose budget is
-    implied by its own displacement, then shrinks the perturbation
-    geometrically until the certified gap fits the implied budget (the
-    exact minimizer, with gap 0, is the 200-shrink fallback).  eps_values
-    collects the summed certified gaps, which bound the value inexactness
-    of the whole step.
+    Each step perturbs the exact prox once, through ``prox_inexact_value``:
+    a moving coordinate shifts away from x_i by a closed-form amount whose
+    worst-case gap is the share ``knob`` of its budget.  eps_values collects
+    the summed certified gaps, which bound the value inexactness of the
+    whole step.
     """
-    lam = prob.lambda_vec.tolist()
     tau_sched = config.inexact
 
     def perturb(k, x, z, v, y_star, value):
-        tau = tau_sched.value(k)
-        x_new = y_star.copy()
-        gaps = np.zeros(prob.n)
-        budgets = tau * (y_star - x) ** 2
-        if tau == 0.0:
-            return x_new, 0.0, gaps, budgets
-        for i in np.flatnonzero(y_star != x).tolist():
-            q = ProxQuery(z=float(z[i]), v=v, lam=lam[i], p=prob.p)
-            ys, xi, g_min = float(y_star[i]), float(x[i]), float(value[i])
-            y, gap = prox_inexact_value(q, tau * (ys - xi) ** 2, config.knob)
-            for _ in range(200):
-                if gap <= tau * (y - xi) ** 2:
-                    break
-                y = ys + 0.5 * (y - ys)
-                gap = q.lam * abs(y) ** q.p + (y - q.z) ** 2 / (2.0 * q.v) - g_min
-            else:
-                y, gap = ys, 0.0
-            x_new[i] = y
-            gaps[i] = max(gap, 0.0)
-            budgets[i] = tau * (y - xi) ** 2
-        return x_new, math.fsum(gaps.tolist()), gaps, budgets
+        x_new, gaps, bounds = prox_inexact_value(
+            z, v, prob, y_star, value, x, tau_sched.value(k), config.knob)
+        return x_new, math.fsum(gaps.tolist()), gaps, bounds
 
     return _iterate(prob, config, x0, "ipga1p", "value", perturb)
 
@@ -404,6 +391,15 @@ def run_ipga_2p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
         return x_new, math.sqrt(math.fsum((dists * dists).tolist())), dists, bounds
 
     return _iterate(prob, config, x0, "ipga2p", "dist", perturb)
+
+
+def runner(algo: str):
+    """The solver for ``algo``: "pga", "ipga1p" or "ipga2p".
+
+    The names are looked up at call time, so code that rebinds this
+    module's run_* functions (instrumentation, for one) sees every call.
+    """
+    return {"pga": run_pga, "ipga1p": run_ipga_1p, "ipga2p": run_ipga_2p}[algo]
 
 
 def _control_violations(trace: IterationTrace, schedule: Schedule, kind: str,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lpreg import (
+    Problem,
     certify_h1,
     certify_h2,
     check_geometric_recursion,
@@ -111,6 +112,14 @@ def test_estimate_beta_floor_without_iterates(small_instance):
     trace = _fake_trace([1.0, 0.9], [0.1])
     beta = estimate_beta(prob, trace, v_lo=0.07)
     assert beta > 1.0 / 0.07
+
+
+def test_estimate_beta_tiny_tail_magnitude_raises_validation_error():
+    prob = Problem(A=np.eye(2), b=np.ones(2), lam=1.0, p=0.5)
+    trace = _fake_trace([1.0, 0.9], [0.1])
+    trace.iterates = [np.array([1.0, 0.0]), np.array([1e-300, 0.0])]
+    with pytest.raises(ValidationError, match="1e-300"):
+        estimate_beta(prob, trace, v_lo=0.1)
 
 
 def test_recursion_basic_example():

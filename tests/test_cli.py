@@ -1,4 +1,5 @@
 import json
+import math
 
 from lpreg import load_problem, load_trace, spectral_norm_sq
 from lpreg.cli import main
@@ -124,15 +125,24 @@ def test_certify_eps_from_trace(tmp_path):
     run_cli("--out-dir", out, "--quiet", "solve", "--algo", "ipga1p",
             "--tau-c", "0.1", "--tau-rho", "0.5",
             "--problem", str(tmp_path / "p.json"), "--trace-out", "t.csv")
-    code = run_cli("--out-dir", out, "--quiet", "certify",
-                   "--trace", str(tmp_path / "t.csv"),
-                   "--problem", str(tmp_path / "p.json"),
-                   "--eps-from-trace")
-    # the value-type run satisfies sufficient decrease but not the
-    # relative-error condition, so certification reports a failure overall
-    report = json.loads((tmp_path / "certify-report.json").read_text())
-    assert report["h1"]["ok"]
-    assert not report["h2"]["ok"]
+
+    def certify(*flags):
+        code = run_cli("--out-dir", out, "--quiet", "certify",
+                       "--trace", str(tmp_path / "t.csv"),
+                       "--problem", str(tmp_path / "p.json"), *flags)
+        return code, json.loads((tmp_path / "certify-report.json").read_text())
+
+    # without the flag both checks run with eps = 0; with it the stored
+    # value gaps enter the sufficient-decrease check as eps_k^2
+    code, report = certify()
+    assert code == 0 and report["h1"]["eps_sum_sq"] == 0.0
+    code, report = certify("--eps-from-trace")
+    eps = load_trace(tmp_path / "t.csv").eps_values
+    assert code == 0 and report["ok"]
+    assert report["h1"]["eps_sum_sq"] == math.fsum(eps) > 0.0
+    # a relative-error constant far too small fails certification
+    code, report = certify("--eps-from-trace", "--beta", "1e-9")
+    assert report["h1"]["ok"] and not report["h2"]["ok"]
     assert code == 3
 
 

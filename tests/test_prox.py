@@ -1,5 +1,4 @@
 import math
-import signal
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from lpreg import (
     Problem,
     ProxQuery,
     lower_bound,
-    prox_inexact_dist,
     prox_inexact_value,
     prox_oracle,
     prox_scalar,
@@ -126,59 +124,73 @@ def test_prox_vector_weighted():
     assert out[1] == 0.0  # heavy weight thresholds the coordinate away
 
 
+def _inexact(q, x, tau, knob=0.9, value_shift=0.0):
+    """prox_inexact_value on the one-coordinate problem of q, stepping from x."""
+    prob = Problem(A=np.eye(1), b=np.zeros(1), lam=q.lam, p=q.p)
+    z = np.array([q.z])
+    y_star, value = prox_vector(z, q.v, prob)
+    y, gaps, bounds = prox_inexact_value(z, q.v, prob, y_star, value - value_shift,
+                                         np.array([x]), tau, knob)
+    return float(y[0]), float(gaps[0]), float(bounds[0])
+
+
 def test_inexact_value_zero_budget():
     q = ProxQuery(z=10.0, v=1.0, lam=1.0, p=0.5)
-    y, gap = prox_inexact_value(q, 0.0)
-    assert y == prox_scalar(q).selection
-    assert gap == 0.0
+    assert _inexact(q, 0.0, 0.0) == (prox_scalar(q).selection, 0.0, 0.0)
 
 
 def test_inexact_value_consumes_budget():
     q = ProxQuery(z=10.0, v=1.0, lam=1.0, p=0.5)
     exact = prox_scalar(q)
-    y, gap = prox_inexact_value(q, 1e-3, knob=1.0)
-    assert y != exact.selection
-    assert 0.0 < gap <= 1e-3
+    tau = 1e-5
+    y, gap, bound = _inexact(q, 0.0, tau, knob=1.0)
+    delta = exact.selection
+    # the closed-form shift, away from x = 0
+    assert_allclose(y - exact.selection, np.sqrt(2.0 * q.v * tau) * delta, rtol=1e-12)
+    assert 0.0 < gap <= tau * delta**2 <= bound == tau * y**2
     # the reported gap is the recomputed one
     assert_allclose(gap, g_val(q, y) - exact.value, rtol=1e-9, atol=1e-15)
 
 
 def test_inexact_value_huge_budget_stays_feasible():
     q = ProxQuery(z=10.0, v=1.0, lam=1.0, p=0.5)
-    y, gap = prox_inexact_value(q, 1e9, knob=1.0)
-    assert gap <= 1e9
-    assert abs(y) <= abs(q.z)
+    y_star = prox_scalar(q).selection
+    # the shift is capped at |y*| / 2, away from x on either side of y*
+    for x, expected in ((0.0, 1.5 * y_star), (20.0, 0.5 * y_star)):
+        y, gap, bound = _inexact(q, x, 1e9, knob=1.0)
+        assert y == expected
+        assert 0.0 < gap <= bound
 
 
 def test_inexact_value_budget_never_exceeded():
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        q = ProxQuery(z=float(rng.uniform(-12, 12)), v=float(rng.uniform(0.05, 3)),
-                      lam=float(rng.uniform(0.1, 5)), p=float(rng.uniform(0.2, 0.8)))
-        budget = float(rng.uniform(0, 1e-2))
-        y, gap = prox_inexact_value(q, budget, knob=float(rng.uniform(0, 1)))
-        assert gap <= budget
-        exact = prox_scalar(q)
-        assert g_val(q, y) - exact.value <= budget + 1e-12 * (1 + exact.value)
+    for _ in range(20):
+        n, v, p = 10, float(rng.uniform(0.05, 3)), float(rng.uniform(0.2, 0.8))
+        prob = Problem(A=np.eye(n), b=np.zeros(n), lam=1.0, p=p,
+                       weights=rng.uniform(0.1, 5, size=n))
+        z = rng.uniform(-12, 12, size=n)
+        y_star, value = prox_vector(z, v, prob)
+        x = np.where(rng.random(n) < 0.2, y_star, rng.uniform(-12, 12, size=n))
+        tau, knob = float(rng.uniform(0, 1e-2)), float(rng.uniform(0, 1))
+        y, gaps, bounds = prox_inexact_value(z, v, prob, y_star, value, x, tau, knob)
+        assert np.all(gaps <= bounds)
+        assert np.array_equal(bounds, tau * (y - x) ** 2)
+        for i in range(n):
+            qi = ProxQuery(z=float(z[i]), v=v, lam=float(prob.lambda_vec[i]), p=p)
+            exact = prox_scalar(qi)
+            assert value[i] == exact.value
+            # the true gap fits the share knob of the budget tau * delta^2
+            budget = knob * tau * (y_star[i] - x[i]) ** 2
+            assert g_val(qi, y[i]) - exact.value <= budget + 1e-12 * (1 + exact.value)
 
 
-def test_inexact_dist_zero_budget():
+def test_inexact_value_falls_back_when_gap_exceeds_bound():
+    # an understated minimum makes the recomputed gap exceed the bound, so
+    # the coordinate returns the exact selection with gap 0
     q = ProxQuery(z=10.0, v=1.0, lam=1.0, p=0.5)
-    y, d = prox_inexact_dist(q, 0.0)
-    assert y == prox_scalar(q).selection and d == 0.0
-
-
-def test_inexact_dist_exact_shift():
-    q = ProxQuery(z=10.0, v=1.0, lam=1.0, p=0.5)
-    y, d = prox_inexact_dist(q, 1e-3, knob=1.0)
-    assert_allclose(d, 1e-3, rtol=1e-12)
-    assert abs(y - prox_scalar(q).selection) == d
-
-
-def test_inexact_dist_zero_minimizer():
-    q = ProxQuery(z=0.5, v=1.0, lam=1.0, p=0.5)
-    y, d = prox_inexact_dist(q, 1e-3, knob=1.0)
-    assert abs(y) <= 1e-3 and d <= 1e-3
+    y, gap, bound = _inexact(q, 0.0, 1e-5, value_shift=1.0)
+    assert (y, gap) == (prox_scalar(q).selection, 0.0)
+    assert bound == 1e-5 * y**2
 
 
 def test_oracle_odd_symmetry():
@@ -260,32 +272,18 @@ def test_tie_reporting():
 
 def test_inexact_validation():
     q = ProxQuery(z=1.0, v=1.0, lam=1.0, p=0.5)
-    with pytest.raises(ValidationError):
-        prox_inexact_value(q, -1.0)
-    with pytest.raises(ValidationError):
-        prox_inexact_dist(q, -0.5)
-    with pytest.raises(ValidationError):
-        prox_inexact_value(q, 1.0, knob=2.0)
+    for tau, knob in ((-1.0, 0.9), (math.nan, 0.9), (1.0, 2.0)):
+        with pytest.raises(ValidationError):
+            _inexact(q, 0.0, tau, knob)
 
 
 def test_inexact_value_returns_at_a_tie():
     # At this threshold tie prox_scalar selects 0 but reports the value of
     # the nonzero root, so g(0) sits 3.7e-12 above the certified minimum:
-    # more than the budget.  The search must stop at y* instead of halving
-    # a zero perturbation forever.
+    # more than the budget.  A zero selection stays at 0 with gap 0.
     q = ProxQuery(z=0.8189641269819701, v=0.09875652480916083,
                   lam=4.085024172081335, p=0.5)
     exact = prox_scalar(q)
     assert exact.tie and g_val(q, exact.selection) - exact.value > 9.3e-13
-
-    def expire(signum, frame):
-        raise TimeoutError("prox_inexact_value did not return")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    try:
-        y, gap = prox_inexact_value(q, 9.3e-13)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+    y, gap, _ = _inexact(q, 1.0, 9.3e-13)
     assert (y, gap) == (exact.selection, 0.0)

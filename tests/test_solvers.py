@@ -6,8 +6,10 @@ from lpreg import (
     Problem,
     certify_h2,
     default_stepsize,
+    gradient_smooth,
     lower_bound,
     objective,
+    prox_vector,
     residual_on_support,
     run_ipga_1p,
     run_ipga_2p,
@@ -132,6 +134,43 @@ def test_ipga1p_per_coordinate_control(small_instance):
         assert np.all(gaps <= budgets + 1e-12 * (1.0 + np.abs(budgets)))
     ok, bad = certify_value_control(trace, tau)
     assert ok, bad
+
+
+def _exact_prox_steps(prob, trace):
+    """Each step's start x^k, exact prox y* of its gradient step, and x^{k+1}."""
+    for k, v in enumerate(trace.stepsizes):
+        x = trace.iterates[k]
+        y_star, _ = prox_vector(x - v * gradient_smooth(prob, x), v, prob)
+        yield k, v, x, y_star, trace.iterates[k + 1]
+
+
+def test_ipga1p_shift_stays_within_its_closed_form(small_instance):
+    prob, _ = small_instance
+    tau = Schedule.geometric(0.1, 0.5)
+    cfg = SolverConfig(v=default_stepsize(prob), inexact=tau)
+    trace = run_ipga_1p(prob, cfg)
+    for k, v, x, y_star, x_new in _exact_prox_steps(prob, trace):
+        limit = np.sqrt(2.0 * v * cfg.knob * tau.value(k)) * np.abs(y_star - x)
+        # one rounding of y* + s may land up to half an ulp of y* past s
+        assert np.all(np.abs(x_new - y_star) <= limit + np.spacing(np.abs(y_star))), k
+
+
+def test_ipga1p_is_exact_once_tau_is_negligible(small_instance):
+    prob, _ = small_instance
+    tau = Schedule.geometric(0.1, 0.5)
+    trace = run_ipga_1p(prob, SolverConfig(v=default_stepsize(prob), inexact=tau))
+    late = [(y_star, x_new) for k, _, _, y_star, x_new in _exact_prox_steps(prob, trace)
+            if tau.value(k) < 1e-40]
+    assert late
+    assert all(np.array_equal(x_new, y_star) for y_star, x_new in late)
+
+
+def test_ipga1p_stops_near_pga_iteration_count(small_instance):
+    prob, _ = small_instance
+    v = default_stepsize(prob)
+    exact = run_pga(prob, SolverConfig(v=v))
+    inexact = run_ipga_1p(prob, SolverConfig(v=v, inexact=Schedule.geometric(0.1, 0.5)))
+    assert abs(len(inexact) - len(exact)) <= 0.1 * len(exact), (len(inexact), len(exact))
 
 
 def test_ipga2p_per_coordinate_control(small_instance):
