@@ -6,9 +6,9 @@ All solvers iterate
     x^{k+1} = prox of z^k coordinate-wise,
 
 stopping when ||x^{k+1} - x^k|| <= stop_tol or at max_iters.  Stepsizes must
-satisfy 0 < v_lo <= v_k <= v_hi < 1/(2 ||A||^2); the spectral norm estimate
-is inflated by its own tolerance before the check so the strict inequality
-is enforced conservatively.
+satisfy 0 < v_lo <= v_k <= v_hi < 1/(2 ||A||^2); ||A||^2 comes from one
+eigensolve, and the check adds the margin SPECTRAL_TOL to it so that
+rounding cannot let a stepsize at the bound through.
 
 The inexact variants perturb the exact coordinate-wise prox and certify the
 perturbation per coordinate at every iteration:
@@ -164,8 +164,8 @@ class SolverConfig:
     def stepsize(self, k: int) -> float:
         return self.v[k] if k < len(self.v) else self.v[-1]
 
-    def validate(self, prob: Problem) -> float:
-        """Check v_hi < 1/(2 ||A||^2); returns the safe spectral estimate."""
+    def validate(self, prob: Problem) -> None:
+        """Check v_hi < 1/(2 (||A||^2 + SPECTRAL_TOL)); raise StepsizeError."""
         a_sq = spectral_norm_sq(prob) + SPECTRAL_TOL
         bound = 0.5 / a_sq
         if not (self.v_hi < bound):
@@ -173,14 +173,6 @@ class SolverConfig:
                 f"stepsize {self.v_hi} violates the bound (1/2) * ||A||^-2 "
                 f"= {bound} (||A||^2 ~ {a_sq})"
             )
-        return a_sq
-
-    @staticmethod
-    def for_problem(prob: Problem, **kwargs) -> "SolverConfig":
-        """Config with the default stepsize, validated for ``prob``."""
-        cfg = SolverConfig(v=default_stepsize(prob), **kwargs)
-        cfg.validate(prob)
-        return cfg
 
 
 @dataclass
@@ -249,61 +241,6 @@ def residual_on_support(prob: Problem, x) -> tuple[float, SupportSet]:
     return float(np.linalg.norm(w)), support
 
 
-class _Recorder:
-    def __init__(self, prob, config, algo, eps_kind, keep_coords):
-        self.prob = prob
-        self.algo = algo
-        self.eps_kind = eps_kind
-        store = config.store_iterates
-        if store is None:
-            store = prob.n <= STORE_ITERATES_MAX_N
-        self.store = store
-        self.f_values = []
-        self.step_norms = []
-        self.eps_values = []
-        self.support_sizes = []
-        self.residuals = []
-        self.iterates = [] if store else None
-        self.supports = []
-        self.stepsizes = []
-        self.coord_certified = [] if keep_coords else None
-        self.coord_bounds = [] if keep_coords else None
-
-    def snapshot(self, x):
-        resid, support = residual_on_support(self.prob, x)
-        self.f_values.append(objective(self.prob, x))
-        self.support_sizes.append(support.size)
-        self.supports.append(support.indices)
-        self.residuals.append(resid)
-        if self.store:
-            self.iterates.append(x.copy())
-
-    def step(self, step_norm, eps, v, certified=None, bounds=None):
-        self.step_norms.append(step_norm)
-        self.eps_values.append(eps)
-        self.stepsizes.append(v)
-        if self.coord_certified is not None:
-            self.coord_certified.append(certified)
-            self.coord_bounds.append(bounds)
-
-    def finish(self, converged):
-        return IterationTrace(
-            algo=self.algo,
-            f_values=self.f_values,
-            step_norms=self.step_norms,
-            eps_values=self.eps_values,
-            support_sizes=self.support_sizes,
-            residuals=self.residuals,
-            iterates=self.iterates,
-            supports=self.supports,
-            converged=converged,
-            stepsizes=self.stepsizes,
-            eps_kind=self.eps_kind,
-            coord_certified=self.coord_certified,
-            coord_bounds=self.coord_bounds,
-        )
-
-
 def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
     """The solver loop shared by all three methods.
 
@@ -320,8 +257,27 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         x = np.array(x0, dtype=np.float64, copy=True)
         if x.shape != (prob.n,):
             raise ValidationError(f"x0 has shape {x.shape}, expected ({prob.n},)")
-    rec = _Recorder(prob, config, algo, eps_kind, perturb is not None)
-    rec.snapshot(x)
+    store = config.store_iterates
+    if store is None:
+        store = prob.n <= STORE_ITERATES_MAX_N
+    keep_coords = perturb is not None
+    trace = IterationTrace(
+        algo=algo, f_values=[], step_norms=[], eps_values=[],
+        support_sizes=[], residuals=[], iterates=[] if store else None,
+        supports=[], stepsizes=[], eps_kind=eps_kind,
+        coord_certified=[] if keep_coords else None,
+        coord_bounds=[] if keep_coords else None)
+
+    def snapshot(x):
+        resid, support = residual_on_support(prob, x)
+        trace.f_values.append(objective(prob, x))
+        trace.support_sizes.append(support.size)
+        trace.supports.append(support.indices)
+        trace.residuals.append(resid)
+        if store:
+            trace.iterates.append(x.copy())
+
+    snapshot(x)
     converged = False
     for k in range(config.max_iters):
         v = config.stepsize(k)
@@ -336,13 +292,19 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
             # exact fixed point: recording the duplicate iterate adds nothing
             converged = True
             break
-        rec.step(step_norm, eps, v, certified, bounds)
-        rec.snapshot(x_new)
+        trace.step_norms.append(step_norm)
+        trace.eps_values.append(eps)
+        trace.stepsizes.append(v)
+        if keep_coords:
+            trace.coord_certified.append(certified)
+            trace.coord_bounds.append(bounds)
+        snapshot(x_new)
         x = x_new
         if step_norm <= config.stop_tol:
             converged = True
             break
-    return rec.finish(converged)
+    trace.converged = converged
+    return trace
 
 
 def run_pga(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:

@@ -15,6 +15,7 @@ from lpreg import (
 )
 from lpreg.analysis import estimate_beta, fit_series
 from lpreg.errors import ValidationError
+from lpreg.experiments import reference_solution
 from lpreg.problem import SPECTRAL_TOL
 from lpreg.solvers import IterationTrace, Schedule, SolverConfig
 
@@ -209,11 +210,26 @@ def test_fit_rate_on_pga_trace(small_instance):
     assert 0.0 < est.eta_hat < 1.0
 
 
+def test_fit_rate_iterate_distance_is_linear(small_instance):
+    prob, _ = small_instance
+    trace = run_pga(prob, SolverConfig(v=default_stepsize(prob)))
+    x_star, _ = reference_solution(prob)
+    est = fit_rate(trace, "iterate-distance", x_star=x_star)
+    assert 0.0 < est.eta_hat < 1.0
+    assert est.r2 >= 0.99
+
+
 def test_fit_rate_needs_reference(small_instance):
     prob, _ = small_instance
     trace = run_pga(prob, SolverConfig(v=default_stepsize(prob), max_iters=30))
     with pytest.raises(ValidationError):
         fit_rate(trace, "objective-gap")
+    with pytest.raises(ValidationError):
+        fit_rate(trace, "iterate-distance")
+    bare = run_pga(prob, SolverConfig(v=default_stepsize(prob), max_iters=30,
+                                      store_iterates=False))
+    with pytest.raises(ValidationError):
+        fit_rate(bare, "iterate-distance", x_star=np.zeros(prob.n))
 
 
 def test_support_identification_constant():

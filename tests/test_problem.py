@@ -23,6 +23,8 @@ from lpreg.errors import (
     ProblemFormatError,
     ValidationError,
 )
+from lpreg.experiments import make_instances
+from lpreg.problem import SPECTRAL_TOL
 from lpreg.solvers import SolverConfig, run_pga
 
 
@@ -114,7 +116,19 @@ def test_spectral_norm_never_overestimates():
         exact = float(np.linalg.eigvalsh(A.T @ A)[-1])
         est = spectral_norm_sq(prob)
         assert est <= exact * (1.0 + 1e-12)
-        assert est >= exact - 1e-8 * max(1.0, exact)
+        assert est >= exact - SPECTRAL_TOL
+
+
+def test_spectral_norm_plus_margin_covers_the_svd_norm():
+    # wide (A A^T) and tall (A^T A) Gram branches, checked against the SVD
+    rng = np.random.default_rng(0)
+    probs = make_instances() + [
+        generate_instance(seed=1, m=200, n=2000, s=20)[0],
+        Problem(A=rng.standard_normal((60, 8)), b=np.zeros(60), lam=1, p=0.5),
+    ]
+    for prob in probs:
+        exact = np.linalg.norm(prob.A, 2) ** 2
+        assert spectral_norm_sq(prob) + SPECTRAL_TOL >= exact
 
 
 def test_spectral_norm_zero_matrix():

@@ -17,6 +17,7 @@ from lpreg import (
     spectral_norm_sq,
 )
 from lpreg.errors import StepsizeError, ValidationError
+from lpreg.experiments import make_instances
 from lpreg.problem import SPECTRAL_TOL
 from lpreg.solvers import (
     IterationTrace,
@@ -92,6 +93,13 @@ def test_stepsize_validation_cites_bound(small_instance):
     bad_v = 1.0 / spectral_norm_sq(prob)  # twice the admissible sup
     with pytest.raises(StepsizeError, match=r"\|\|A\|\|"):
         run_pga(prob, SolverConfig(v=bad_v))
+
+
+def test_validate_rejects_stepsize_at_the_bound():
+    # v = 1/(2 ||A||^2) is excluded by the paper's strict stepsize condition
+    for prob in make_instances():
+        with pytest.raises(StepsizeError):
+            SolverConfig(v=0.5 / np.linalg.norm(prob.A, 2) ** 2).validate(prob)
 
 
 def test_ipga1p_zero_schedule_identical(small_instance):
