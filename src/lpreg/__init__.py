@@ -3,7 +3,7 @@
 Core API:
 
 * :mod:`lpreg.problem` -- instances, objective, generators, file I/O
-* :mod:`lpreg.prox` -- certified scalar prox, closed form for p = 1/2,
+* :mod:`lpreg.prox` -- certified coordinate-wise prox, closed form for p = 1/2,
   value-type inexact perturbation, brute-force oracle
 * :mod:`lpreg.solvers` -- exact proximal gradient and two certified
   inexact variants

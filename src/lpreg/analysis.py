@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .problem import Problem, SPECTRAL_TOL, spectral_norm_sq
+from .problem import Problem, spectral_norm_sq, spectral_upper_bound
 from .prox import lower_bound
 from .solvers import IterationTrace, Schedule
 
@@ -154,7 +154,7 @@ def estimate_beta(prob: Problem, trace: IterationTrace, v_lo: float) -> float:
     Without stored iterates the scalar-prox magnitude floor bounds
     |x_i|^{p-2} from above, which keeps the estimate conservative.
     """
-    a_sq = spectral_norm_sq(prob) + SPECTRAL_TOL
+    a_sq = spectral_upper_bound(spectral_norm_sq(prob))
     p = prob.p
     if trace.iterates is not None and len(trace.iterates) > 1:
         tail = trace.iterates[len(trace.iterates) // 2:]

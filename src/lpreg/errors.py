@@ -29,4 +29,4 @@ class StepsizeError(ValidationError):
 
 
 class ProxConvergenceError(LpregError, RuntimeError):
-    """The scalar prox root solve failed to reach its tolerance."""
+    """The prox stationarity solve failed to reach its tolerance."""

@@ -302,23 +302,6 @@ def fixed_1d_instance() -> prob_mod.Problem:
     return prob_mod.Problem(A=[[1.0]], b=[2.0], lam=1.0, p=0.5)
 
 
-def scalar_critical_point(a: float, bhat: float, lam: float, p: float,
-                          t0: float = 1.0) -> float:
-    """Newton solve of 2 a (a t - bhat) + lam p t^(p-1) = 0 for t > 0."""
-    t = t0
-    for _ in range(200):
-        g = 2.0 * a * (a * t - bhat) + lam * p * t ** (p - 1.0)
-        h = 2.0 * a * a + lam * p * (p - 1.0) * t ** (p - 2.0)
-        step = g / h
-        t_new = t - step
-        if t_new <= 0:
-            t_new = 0.5 * t
-        if abs(t_new - t) <= 1e-14 * t:
-            return t_new
-        t = t_new
-    return t
-
-
 def harness_instances(seed: int = 7):
     rng = np.random.default_rng(seed)
     instances = []
@@ -341,7 +324,9 @@ def exp_equivalence() -> ExperimentResult:
 
     fixed = fixed_1d_instance()
     enum = optimality.enumerate_local_minima(fixed, probe_samples=4000)
-    t_star = scalar_critical_point(1.0, 2.0, 1.0, 0.5, t0=2.0)
+    # F(t) = (t - 2)^2 + |t|^(1/2) is stationary where t + t^(-1/2) / 4 = 2,
+    # the prox equation of z = 2 at v = 1/2, whose root the prox selects here
+    t_star = prox.prox_scalar(prox.ProxQuery(z=2.0, v=0.5, lam=1.0, p=0.5)).selection
     points = sorted(float(x[0]) for x in enum.points)
     if len(points) != 2 or abs(points[0]) > 1e-12 or abs(points[1] - t_star) > 1e-8:
         failures.append(

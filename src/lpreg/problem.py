@@ -28,6 +28,7 @@ __all__ = [
     "objective",
     "gradient_smooth",
     "spectral_norm_sq",
+    "spectral_upper_bound",
     "rescale_weighted",
     "generate_instance",
     "load_problem",
@@ -36,9 +37,9 @@ __all__ = [
     "load_trace",
 ]
 
-# Margin for rounding error in spectral_norm_sq.  Consumers add it to the
-# computed ||A||^2 before testing the stepsize bound (see solvers), so the
-# test stays conservative when the eigensolve rounds low.
+# Relative margin for rounding error in spectral_norm_sq: stepsize tests
+# use spectral_upper_bound, so they stay conservative when the eigensolve
+# rounds low.
 SPECTRAL_TOL = 1e-10
 
 
@@ -77,7 +78,7 @@ class Problem:
             )
         if not np.isfinite(A).all() or not np.isfinite(b).all():
             raise ValidationError("A and b must be finite")
-        if not (self.lam > 0):
+        if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValidationError(f"lambda must be positive, got {self.lam}")
         if not (0.0 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0, 1), got {self.p}")
@@ -162,12 +163,17 @@ def spectral_norm_sq(prob: Problem) -> float:
     That is A A^T when m <= n and A^T A otherwise; both have the same
     nonzero eigenvalues, and the smaller one is never larger than A itself.
     The result is exact up to rounding of order max(m, n) * eps * ||A||^2,
-    which the margin SPECTRAL_TOL covers while max(m, n) * ||A||^2 stays
-    below about 4e5 (eps = 2.2e-16).
+    which ``spectral_upper_bound`` covers while max(m, n) stays below about
+    4e5 (eps = 2.2e-16).
     """
     A = prob.A
     G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
     return float(np.linalg.eigvalsh(G)[-1])
+
+
+def spectral_upper_bound(a_sq: float) -> float:
+    """A computed ||A||^2 plus its rounding margin SPECTRAL_TOL * max(1, a_sq)."""
+    return a_sq + SPECTRAL_TOL * max(1.0, a_sq)
 
 
 def rescale_weighted(prob: Problem) -> tuple[Problem, np.ndarray]:

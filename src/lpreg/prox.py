@@ -1,4 +1,4 @@
-"""Scalar proximal operator of the lp quasi-norm penalty, with certificates.
+"""Coordinate-wise proximal operator of the lp quasi-norm penalty, with certificates.
 
 For a query (z, v, lambda, p) the prox minimizes
 
@@ -19,6 +19,10 @@ whichever gives the smaller g; both can win simultaneously only at the
 thresholding boundary, which is reported as a tie.  Vector application
 selects 0 at ties (sparsity-promoting; the tie set has measure zero and the
 minimizer set is set-valued there, so any selection is admissible).
+
+One array kernel solves for all coordinates of a vector at once.
+``prox_vector`` calls it once per vector, ``prox_scalar`` on one
+coordinate, and ``prox_scalar_half`` with the closed-form root for p = 1/2.
 
 Inexactness is simulated with certificates: ``prox_inexact_value``
 perturbs the exact vector prox returned by ``prox_vector`` and recomputes
@@ -92,90 +96,96 @@ class ProxResult:
         return self.minimizers[0]
 
 
-def lower_bound(v: float, lam: float, p: float) -> float:
-    """Smallest possible magnitude of a nonzero prox output."""
+def lower_bound(v: float, lam, p: float):
+    """Smallest possible magnitude of a nonzero prox output (lam may be an array)."""
     return (v * lam * p * (1.0 - p)) ** (1.0 / (2.0 - p))
 
 
-def _g(z: float, v: float, lam: float, p: float, t: float) -> float:
-    return lam * abs(t) ** p + (t - z) ** 2 / (2.0 * v)
+def _prox_abs(a: np.ndarray, v: float, lam: np.ndarray, p: float, root=None):
+    """The prox kernel on magnitudes a = |z|, all coordinates at once.
 
+    Returns (t, value, tie): t is the magnitude of the nonzero minimizer (0
+    where 0 is the only one), value the minimum of g, and tie marks where 0
+    and t give the same value.  ``root`` (0 where none) replaces the solve.
 
-def _stationary_root(a: float, v: float, lam: float, p: float) -> float | None:
-    """Largest root of r(t) = t + v*lam*p*t^(p-1) - a on [t_lb, a], or None.
-
-    r is convex and strictly increasing on the bracket, so Newton from the
-    right endpoint converges monotonically; bisection safeguards every step.
+    r(t) = t + v*lam*p*t^(p-1) - a is convex and increasing on [t_lb, a],
+    so Newton from a converges monotonically; bisection safeguards every
+    step and takes over after NEWTON_MAX_ITERS.  A coordinate leaves the
+    active set once converged, so its result does not depend on the others.
     """
-    c = v * lam * p
-    t_lb = lower_bound(v, lam, p)
-    if t_lb >= a:
-        return None
-
-    def r(t):
-        return t + c * t ** (p - 1.0) - a
-
-    if r(t_lb) > 0.0:
-        return None  # no stationary point with g'' >= 0
-    lo, hi = t_lb, a
-    tol = GPRIME_TOL * (v + 1.0)
-    t = a
-    rt = r(t)
-    for _ in range(NEWTON_MAX_ITERS):
-        if abs(rt) <= tol:
-            return t
-        if rt > 0.0:
-            hi = t
-        else:
-            lo = t
-        drdt = 1.0 + c * (p - 1.0) * t ** (p - 2.0)
-        t_new = t - rt / drdt if drdt > 0.0 else lo
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-        rt = r(t)
-    for _ in range(BISECT_MAX_ITERS):
-        if abs(rt) <= tol:
-            return t
-        if rt > 0.0:
-            hi = t
-        else:
-            lo = t
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # bracket exhausted at machine resolution
-        t = mid
-        rt = r(t)
-    # IEEE floor: the residual cannot shrink below the rounding noise of its
-    # own evaluation; accept when the bracket is a single ulp wide.
-    scale = abs(a) + t + c * t ** (p - 1.0)
-    if abs(rt) <= max(tol, 8.0 * np.finfo(float).eps * scale):
-        return t
-    raise ProxConvergenceError(
-        f"stationarity solve stalled at t={t!r} with residual {rt!r}"
-    )
-
-
-def _result(a: float, sgn: float, v: float, lam: float, p: float,
-            root: float | None) -> ProxResult:
-    g0 = a * a / (2.0 * v)
     if root is None:
-        return ProxResult((0.0,), g0, tie=False)
-    gt = _g(a, v, lam, p, root)
-    if abs(g0 - gt) <= TIE_TOL * (1.0 + abs(g0)):
-        return ProxResult((0.0, sgn * root), min(g0, gt), tie=True)
-    if gt < g0:
-        return ProxResult((sgn * root,), gt, tie=False)
-    return ProxResult((0.0,), g0, tie=False)
+        root = np.zeros_like(a)
+        c = v * lam * p
+        t_lb = lower_bound(v, lam, p)
+
+        def r(t, a, c):
+            return t + c * t ** (p - 1.0) - a
+
+        # no stationary point with g'' >= 0 where r(t_lb) > 0
+        idx = np.flatnonzero((t_lb < a) & ~(r(t_lb, a, c) > 0.0))
+        a_, c_, lo = a[idx], c[idx], t_lb[idx]
+        hi = t = a_
+        rt = r(t, a_, c_)
+        tol = GPRIME_TOL * (v + 1.0)
+        for k in range(NEWTON_MAX_ITERS + BISECT_MAX_ITERS):
+            done = np.abs(rt) <= tol
+            if done.any():
+                root[idx[done]] = t[done]
+                idx, a_, c_, lo, hi, t, rt = (
+                    x[~done] for x in (idx, a_, c_, lo, hi, t, rt))
+            if not idx.size:
+                break
+            up = rt > 0.0
+            hi = np.where(up, t, hi)
+            lo = np.where(up, lo, t)
+            mid = 0.5 * (lo + hi)
+            if k < NEWTON_MAX_ITERS:
+                drdt = 1.0 + c_ * (p - 1.0) * t ** (p - 2.0)
+                ok = drdt > 0.0
+                t_new = np.where(ok, t - rt / np.where(ok, drdt, 1.0), lo)
+                t = np.where((lo < t_new) & (t_new < hi), t_new, mid)
+            else:
+                # a bracket exhausted at machine resolution keeps its t
+                stuck = (mid == lo) | (mid == hi)
+                if stuck.all():
+                    break
+                t = np.where(stuck, t, mid)
+            rt = r(t, a_, c_)
+        # IEEE floor: the residual cannot shrink below the rounding noise of
+        # its own evaluation; accept when the bracket is a single ulp wide.
+        scale = a_ + t + c_ * t ** (p - 1.0)
+        floor = np.abs(rt) <= np.maximum(tol, 8.0 * np.finfo(float).eps * scale)
+        if not floor.all():
+            j = np.flatnonzero(~floor)[0]
+            raise ProxConvergenceError(
+                f"stationarity solve stalled at t={float(t[j])!r} "
+                f"with residual {float(rt[j])!r}"
+            )
+        root[idx] = t
+    has = root > 0.0
+    g0 = a * a / (2.0 * v)
+    gt = lam * root ** p + (root - a) ** 2 / (2.0 * v)
+    tie = has & (np.abs(g0 - gt) <= TIE_TOL * (1.0 + np.abs(g0)))
+    win = has & (gt < g0)
+    value = np.where(tie, np.minimum(g0, gt), np.where(win, gt, g0))
+    return np.where(tie | win, root, 0.0), value, tie
+
+
+def _one_coordinate(q: ProxQuery, root=None) -> ProxResult:
+    """The kernel on the single coordinate of q, as a ProxResult."""
+    t, value, tie = _prox_abs(np.array([abs(q.z)]), q.v, np.array([q.lam]),
+                              q.p, root)
+    t, value = float(t[0]), float(value[0])
+    if tie[0]:
+        return ProxResult((0.0, math.copysign(t, q.z)), value, tie=True)
+    if t > 0.0:
+        return ProxResult((math.copysign(t, q.z),), value, tie=False)
+    return ProxResult((0.0,), value, tie=False)
 
 
 def prox_scalar(q: ProxQuery) -> ProxResult:
-    """Global minimizer(s) of g via safeguarded Newton on the bracket."""
-    if q.z == 0.0:
-        return ProxResult((0.0,), 0.0, tie=False)
-    a, sgn = abs(q.z), math.copysign(1.0, q.z)
-    root = _stationary_root(a, q.v, q.lam, q.p)
-    return _result(a, sgn, q.v, q.lam, q.p, root)
+    """Global minimizer(s) of g: the prox kernel on one coordinate."""
+    return _one_coordinate(q)
 
 
 def prox_scalar_half(z: float, v: float, lam: float) -> ProxResult:
@@ -187,38 +197,32 @@ def prox_scalar_half(z: float, v: float, lam: float) -> ProxResult:
     value tie against 0 happens exactly at |z| = (3/2) * (v*lam)^(2/3).
     """
     q = ProxQuery(z=z, v=v, lam=lam, p=0.5)
-    if q.z == 0.0:
-        return ProxResult((0.0,), 0.0, tie=False)
-    a, sgn = abs(q.z), math.copysign(1.0, q.z)
+    a = abs(q.z)
     c = v * lam
-    z_exist = 3.0 * (c / 4.0) ** (2.0 / 3.0)
-    root = None
-    if a >= z_exist:
+    root = 0.0
+    if a > 0.0 and a >= 3.0 * (c / 4.0) ** (2.0 / 3.0):
         arg = -(3.0 * math.sqrt(3.0) * c) / (4.0 * a ** 1.5)
         u = 2.0 * math.sqrt(a / 3.0) * math.cos(math.acos(max(-1.0, arg)) / 3.0)
         root = u * u
-    return _result(a, sgn, v, lam, 0.5, root)
+    return _one_coordinate(q, np.array([root]))
 
 
 def prox_vector(z, v: float, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate-wise exact prox with per-coordinate weights.
 
     Returns the selected minimizers (0 at ties) and the minimum values of
-    the scalar problems.  Coordinates are solved serially in index order by
-    ``prox_scalar``, so the output is bit-reproducible.
+    the scalar problems, from one call of the array kernel.  Each
+    coordinate's result is bit-identical to ``prox_scalar`` on it alone.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (prob.n,):
         raise ValidationError(f"z has shape {z.shape}, expected ({prob.n},)")
-    p = prob.p
-    selection, value = [], []
-    # each result is dropped at once: holding n of them alive would wake
-    # the cyclic garbage collector several times per call
-    for zi, li in zip(z.tolist(), prob.lambda_vec.tolist()):
-        res = prox_scalar(ProxQuery(z=zi, v=v, lam=li, p=p))
-        selection.append(res.selection)
-        value.append(res.value)
-    return np.array(selection), np.array(value)
+    if not np.isfinite(z).all():
+        raise ValidationError("z must be finite")
+    if not (v > 0 and math.isfinite(v)):
+        raise ValidationError(f"v must be positive, got {v}")
+    t, value, tie = _prox_abs(np.abs(z), v, prob.lambda_vec, prob.p)
+    return np.where(tie | (t == 0.0), 0.0, np.copysign(t, z)), value
 
 
 def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,

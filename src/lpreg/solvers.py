@@ -7,8 +7,8 @@ All solvers iterate
 
 stopping when ||x^{k+1} - x^k|| <= stop_tol or at max_iters.  Stepsizes must
 satisfy 0 < v_lo <= v_k <= v_hi < 1/(2 ||A||^2); ||A||^2 comes from one
-eigensolve, and the check adds the margin SPECTRAL_TOL to it so that
-rounding cannot let a stepsize at the bound through.
+eigensolve, and the check adds the margin of ``spectral_upper_bound`` so
+that rounding cannot let a stepsize at the bound through.
 
 The inexact variants perturb the exact coordinate-wise prox and certify the
 perturbation per coordinate at every iteration:
@@ -30,7 +30,8 @@ once per iteration by ``prox_vector``, and the inexact variants perturb it.
 
 With a zero inexactness schedule both variants reproduce ``run_pga``
 bit-for-bit.  Traces are bit-reproducible: the solver loop is single
-threaded and coordinate results are reduced in index order.
+threaded, each coordinate's prox is elementwise and independent of the
+others, and sums run in index order.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from .errors import StepsizeError, ValidationError
 from .problem import (
     Problem,
     SupportSet,
-    SPECTRAL_TOL,
     gradient_smooth,
     objective,
     spectral_norm_sq,
+    spectral_upper_bound,
 )
 from .prox import prox_inexact_value, prox_vector
 
@@ -117,7 +118,7 @@ class Schedule:
 
 def default_stepsize(prob: Problem) -> float:
     """Constant stepsize 0.495 / ||A||^2, safely inside the admissible interval."""
-    return 0.495 / max(spectral_norm_sq(prob) + SPECTRAL_TOL, 1e-300)
+    return 0.495 / spectral_upper_bound(spectral_norm_sq(prob))
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,8 @@ class SolverConfig:
         return self.v[k] if k < len(self.v) else self.v[-1]
 
     def validate(self, prob: Problem) -> None:
-        """Check v_hi < 1/(2 (||A||^2 + SPECTRAL_TOL)); raise StepsizeError."""
-        a_sq = spectral_norm_sq(prob) + SPECTRAL_TOL
+        """Check v_hi < 1/(2 spectral_upper_bound(||A||^2)); raise StepsizeError."""
+        a_sq = spectral_upper_bound(spectral_norm_sq(prob))
         bound = 0.5 / a_sq
         if not (self.v_hi < bound):
             raise StepsizeError(

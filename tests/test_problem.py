@@ -206,8 +206,9 @@ def test_generate_invalid_dims():
 
 
 def test_problem_validation():
-    with pytest.raises(ValidationError):
-        Problem(A=np.eye(2), b=[0.0, 0.0], lam=-1.0, p=0.5)
+    for lam in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            Problem(A=np.eye(2), b=[0.0, 0.0], lam=lam, p=0.5)
     with pytest.raises(ValidationError):
         Problem(A=np.eye(2), b=[0.0, 0.0], lam=1.0, p=1.0)
     with pytest.raises(DimensionMismatchError):

@@ -15,6 +15,7 @@ from lpreg import (
     prox_vector,
 )
 from lpreg.errors import ValidationError
+from lpreg.experiments import ARGMIN_TOL, VALUE_TOL
 
 
 def g_val(q, t):
@@ -122,6 +123,57 @@ def test_prox_vector_weighted():
     out, _ = prox_vector([3.0, 3.0], 1.0, prob)
     assert out[0] != 0.0
     assert out[1] == 0.0  # heavy weight thresholds the coordinate away
+
+
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+def test_prox_vector_matches_oracle_and_scalar(p):
+    # one batch with its own lambda per coordinate; for p = 1/2 the first
+    # six coordinates sit at the tie point z = 1.5 (v lam)^(2/3)
+    rng = np.random.default_rng(int(p * 10))
+    n, v = 40, float(rng.uniform(0.05, 3.0))
+    lam = rng.uniform(0.01, 10.0, size=n)
+    z = rng.uniform(-20.0, 20.0, size=n)
+    if p == 0.5:
+        z[:6] = np.array([1, -1] * 3) * 1.5 * (v * lam[:6]) ** (2.0 / 3.0)
+    prob = Problem(A=np.ones((1, n)), b=np.zeros(1), lam=1.0, p=p, weights=lam)
+    sel, value = prox_vector(z, v, prob)
+    scalar = [prox_scalar(ProxQuery(z=float(zi), v=v, lam=float(li), p=p))
+              for zi, li in zip(z, lam)]
+    # bit for bit, so no coordinate's result depends on its batch
+    assert np.array_equal(sel.view(np.uint64),
+                          np.array([s.selection for s in scalar]).view(np.uint64))
+    assert np.array_equal(value, [s.value for s in scalar])
+    if p == 0.5:
+        assert all(s.tie for s in scalar[:6])
+    for i in range(n):
+        oracle = prox_oracle(ProxQuery(z=float(z[i]), v=v, lam=float(lam[i]), p=p))
+        best = min(oracle.minimizers, key=lambda m: abs(m - sel[i]))
+        assert abs(sel[i] - best) <= ARGMIN_TOL
+        assert abs(value[i] - oracle.value) <= VALUE_TOL * (1.0 + abs(oracle.value))
+
+
+def test_prox_vector_validation():
+    prob = Problem(A=np.ones((1, 3)), b=np.zeros(1), lam=1.0, p=0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            prox_vector([1.0, bad, 2.0], 1.0, prob)
+    for v in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            prox_vector([1.0, 0.5, 2.0], v, prob)
+
+
+def test_prox_accepts_at_the_ieee_floor():
+    # Newton and bisection end on a one-ulp bracket whose residual sits
+    # above tol but within the rounding noise of r: the answer is accepted,
+    # 8.7e-10 from the oracle's, and a batch returns it bit for bit
+    q = ProxQuery(z=2364.693070700983, v=1.5497266041996982,
+                  lam=41.56004561420721, p=0.8078453948056181)
+    assert prox_scalar(q).selection == 2352.987647616549
+    prob = Problem(A=np.ones((1, 3)), b=np.zeros(1), lam=1.0, p=q.p,
+                   weights=[1.0, q.lam, 2.0])
+    sel, _ = prox_vector([5.0, q.z, -7.0], q.v, prob)
+    assert sel[1] == 2352.987647616549
+    assert sel[0] != 0.0 and sel[2] != 0.0
 
 
 def _inexact(q, x, tau, knob=0.9, value_shift=0.0):

@@ -96,8 +96,12 @@ def test_stepsize_validation_cites_bound(small_instance):
 
 
 def test_validate_rejects_stepsize_at_the_bound():
-    # v = 1/(2 ||A||^2) is excluded by the paper's strict stepsize condition
-    for prob in make_instances():
+    # v = 1/(2 ||A||^2) is excluded by the paper's strict stepsize condition;
+    # scaled by 1e3, the eigensolve rounds low by more than 1e-10 absolute
+    probs = make_instances()
+    probs += [Problem(A=1e3 * prob.A, b=prob.b, lam=prob.lam, p=prob.p)
+              for prob in probs]
+    for prob in probs:
         with pytest.raises(StepsizeError):
             SolverConfig(v=0.5 / np.linalg.norm(prob.A, 2) ** 2).validate(prob)
 
