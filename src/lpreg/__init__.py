@@ -15,13 +15,11 @@ __version__ = "0.1.0"
 
 from .problem import (  # noqa: F401
     Problem,
-    SupportSet,
     generate_instance,
     gradient_smooth,
     load_problem,
     load_trace,
     objective,
-    rescale_weighted,
     save_problem,
     save_trace,
     spectral_norm_sq,

@@ -113,7 +113,7 @@ def certify_h1(
 
     ``eps_sq`` is the sequence of eps_k^2 terms; by default the trace's own
     certified value gaps are used (zero for exact runs).  The eps tail-sum
-    diagnostic and, when a geometric ``schedule`` is supplied, the symbolic
+    diagnostic and, when a ``schedule`` is supplied, the symbolic
     square-summability verdict ride along in the report.
     """
     n_steps = len(trace.step_norms)
@@ -131,7 +131,7 @@ def certify_h1(
         slack)
     total, tail_frac = _eps_diagnostics(eps_sq[:n_steps])
     symbolic = None
-    if schedule is not None and schedule.is_geometric:
+    if schedule is not None:
         symbolic = schedule.rho < 1.0  # then sum eps_k^2 < inf and ratio < 1
     return ConditionReport(
         condition="sufficient-decrease",

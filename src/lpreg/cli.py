@@ -239,7 +239,7 @@ def cmd_certify_point(args) -> tuple[int, dict | None]:
         probe = optimality.growth_probe(prob, x, seed=args.seed)
     data = {
         "classification": report.classification,
-        "support": list(report.support.indices),
+        "support": list(report.support),
         "first_order_residual": report.first_order_residual,
         "second_order_min_eig": report.second_order_min_eig,
     }

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .problem import Problem, SupportSet, gradient_smooth, objective
+from .problem import Problem, gradient_smooth, objective
 from .solvers import residual_on_support
 
 __all__ = [
@@ -60,7 +60,7 @@ class GrowthProbeResult:
 
 @dataclass(frozen=True)
 class OptimalityReport:
-    support: SupportSet
+    support: tuple[int, ...]
     first_order_residual: float
     second_order_min_eig: float | None  # None iff support is empty
     classification: str
@@ -96,7 +96,7 @@ def classify_point(
     """
     x = np.asarray(x, dtype=np.float64)
     residual, support = residual_on_support(prob, x)
-    if support.size == 0:
+    if not support:
         return OptimalityReport(support, 0.0, None, CLASS_ZERO)
     min_eig = float(np.linalg.eigvalsh(second_order_matrix(prob, x))[0])
     if residual > fo_tol:

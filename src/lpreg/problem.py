@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,10 @@ from .errors import DimensionMismatchError, ProblemFormatError, ValidationError
 
 __all__ = [
     "Problem",
-    "SupportSet",
     "objective",
     "gradient_smooth",
     "spectral_norm_sq",
     "spectral_upper_bound",
-    "rescale_weighted",
     "generate_instance",
     "load_problem",
     "save_problem",
@@ -115,24 +113,6 @@ class Problem:
         return float(self.lam)
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """Sorted index set supp(x) with its cardinality."""
-
-    indices: tuple[int, ...]
-    size: int = field(init=False)
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if idx != self.indices:
-            object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "size", len(idx))
-
-    @classmethod
-    def of(cls, x) -> "SupportSet":
-        return cls(tuple(int(i) for i in np.flatnonzero(np.asarray(x))))
-
-
 def _check_x(prob: Problem, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (prob.n,):
@@ -142,19 +122,28 @@ def _check_x(prob: Problem, x) -> np.ndarray:
     return x
 
 
-def objective(prob: Problem, x) -> float:
-    """F(x) = ||Ax-b||^2 + sum_i lambda_i |x_i|^p, compensated summation."""
-    x = _check_x(prob, x)
-    r = prob.A @ x - prob.b
+def _objective_at(prob: Problem, x: np.ndarray, r: np.ndarray) -> float:
+    """F(x) given the residual r = A x - b."""
     resid = math.fsum((r * r).tolist())
     pen_terms = prob.lambda_vec * np.abs(x) ** prob.p
     return resid + math.fsum(pen_terms.tolist())
 
 
+def _gradient_at(prob: Problem, r: np.ndarray) -> np.ndarray:
+    """2 A^T r, the smooth gradient given the residual r = A x - b."""
+    return 2.0 * (prob.A.T @ r)
+
+
+def objective(prob: Problem, x) -> float:
+    """F(x) = ||Ax-b||^2 + sum_i lambda_i |x_i|^p, compensated summation."""
+    x = _check_x(prob, x)
+    return _objective_at(prob, x, prob.A @ x - prob.b)
+
+
 def gradient_smooth(prob: Problem, x) -> np.ndarray:
     """Gradient of the smooth part: 2 A^T (A x - b)."""
     x = _check_x(prob, x)
-    return 2.0 * (prob.A.T @ (prob.A @ x - prob.b))
+    return _gradient_at(prob, prob.A @ x - prob.b)
 
 
 def spectral_norm_sq(prob: Problem) -> float:
@@ -174,24 +163,6 @@ def spectral_norm_sq(prob: Problem) -> float:
 def spectral_upper_bound(a_sq: float) -> float:
     """A computed ||A||^2 plus its rounding margin SPECTRAL_TOL * max(1, a_sq)."""
     return a_sq + SPECTRAL_TOL * max(1.0, a_sq)
-
-
-def rescale_weighted(prob: Problem) -> tuple[Problem, np.ndarray]:
-    """Fold per-coordinate weights into the columns of A.
-
-    Returns the uniform-weight problem (K, b, lam, p) with
-
-        u_i = (lambda_i / lam)^(1/p) x_i,    K_i = (lam / lambda_i)^(1/p) A_i,
-
-    plus the scale vector s with x = s * u.  Objective values coincide:
-    objective(canonical, u) == objective(weighted, x), and supports match.
-    """
-    if prob.weights is None:
-        raise ValidationError("rescale_weighted needs a weighted problem")
-    ratio = (prob.lam / prob.weights) ** (1.0 / prob.p)
-    K = prob.A * ratio[np.newaxis, :]
-    canonical = Problem(A=K, b=prob.b, lam=prob.lam, p=prob.p)
-    return canonical, ratio
 
 
 def generate_instance(

@@ -27,6 +27,9 @@ perturbation per coordinate at every iteration:
 
 All three share one loop: the exact prox of the whole vector is computed
 once per iteration by ``prox_vector``, and the inexact variants perturb it.
+Each iterate makes one product A x and one A^T r: the residual
+r = A x - b gives F, the residual on the support and the next gradient
+step.
 
 With a zero inexactness schedule both variants reproduce ``run_pga``
 bit-for-bit.  Traces are bit-reproducible: the solver loop is single
@@ -44,9 +47,9 @@ import numpy as np
 from .errors import StepsizeError, ValidationError
 from .problem import (
     Problem,
-    SupportSet,
-    gradient_smooth,
-    objective,
+    _check_x,
+    _gradient_at,
+    _objective_at,
     spectral_norm_sq,
     spectral_upper_bound,
 )
@@ -71,16 +74,14 @@ STORE_ITERATES_MAX_N = 10**4
 
 @dataclass(frozen=True)
 class Schedule:
-    """Inexactness schedule: geometric family c * rho^k or an explicit list.
+    """Inexactness schedule: the geometric family c * rho^k.
 
-    Explicit lists continue with 0 past their end.  The geometric form is
-    what the rate certifications can reason about symbolically (square
+    The rate certifications reason about it symbolically (square
     summability and a tail ratio below 1 hold exactly when rho < 1).
     """
 
     c: float = 0.0
     rho: float = 0.0
-    values: tuple[float, ...] | None = None
 
     @classmethod
     def geometric(cls, c: float, rho: float) -> "Schedule":
@@ -91,28 +92,13 @@ class Schedule:
         return cls(c=c, rho=rho)
 
     @classmethod
-    def explicit(cls, seq) -> "Schedule":
-        vals = tuple(float(v) for v in seq)
-        if any(v < 0 for v in vals):
-            raise ValidationError("schedule values must be nonnegative")
-        return cls(values=vals)
-
-    @classmethod
     def zero(cls) -> "Schedule":
         return cls(c=0.0, rho=0.0)
 
-    @property
-    def is_geometric(self) -> bool:
-        return self.values is None
-
     def value(self, k: int) -> float:
-        if self.values is not None:
-            return self.values[k] if k < len(self.values) else 0.0
         return self.c * self.rho**k
 
     def max_value(self) -> float:
-        if self.values is not None:
-            return max(self.values, default=0.0)
         return self.c
 
 
@@ -138,7 +124,6 @@ class SolverConfig:
     stop_tol: float = 1e-10
     inexact: Schedule = field(default_factory=Schedule.zero)
     knob: float = 0.9
-    store_iterates: bool | None = None
 
     def __post_init__(self):
         if isinstance(self.v, (int, float)):
@@ -185,6 +170,7 @@ class IterationTrace:
     fewer).  ``eps_values[k]`` is the certified scalar inexactness consumed
     by step k: the summed value gaps for run_ipga_1p, the Euclidean norm of
     the per-coordinate distances for run_ipga_2p, 0 for run_pga.
+    ``iterates`` is stored when n <= STORE_ITERATES_MAX_N.
     """
 
     algo: str
@@ -222,31 +208,40 @@ class IterationTrace:
         return rows
 
 
-def residual_on_support(prob: Problem, x) -> tuple[float, SupportSet]:
-    """Minimal-norm subgradient norm over supp(x), and the support.
+def _evaluate(prob: Problem, x: np.ndarray):
+    """F(x), the smooth gradient, supp(x) and the residual on it, from one r.
+
+    r = A x - b is formed once; F, the gradient 2 A^T r and the residual
+    use the same expressions as ``objective`` and ``gradient_smooth``.
+    """
+    r = prob.A @ x - prob.b
+    grad = _gradient_at(prob, r)
+    idx = np.flatnonzero(x)
+    xi = x[idx]
+    lam = prob.lambda_vec[idx]
+    w = grad[idx] + lam * prob.p * np.abs(xi) ** (prob.p - 1.0) * np.sign(xi)
+    return (_objective_at(prob, x, r), grad, tuple(idx.tolist()),
+            float(np.linalg.norm(w)))
+
+
+def residual_on_support(prob: Problem, x) -> tuple[float, tuple[int, ...]]:
+    """Minimal-norm subgradient norm over supp(x), and the sorted support.
 
     Off-support coordinates contribute nothing: the limiting subdifferential
     of |.|^p at 0 is the whole real line, so those components of a
     subgradient can always be chosen 0.  On the support the subgradient is
     unique: (2 A^T (A x - b))_i + lambda_i p |x_i|^{p-1} sign(x_i).
     """
-    x = np.asarray(x, dtype=np.float64)
-    support = SupportSet.of(x)
-    if support.size == 0:
-        return 0.0, support
-    idx = np.array(support.indices)
-    grad = gradient_smooth(prob, x)[idx]
-    xi = x[idx]
-    lam = prob.lambda_vec[idx]
-    w = grad + lam * prob.p * np.abs(xi) ** (prob.p - 1.0) * np.sign(xi)
-    return float(np.linalg.norm(w)), support
+    _, _, support, resid = _evaluate(prob, _check_x(prob, x))
+    return resid, support
 
 
 def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
     """The solver loop shared by all three methods.
 
-    Each iteration takes the gradient step z, computes the exact prox of z
-    with ``prox_vector`` and passes it to ``perturb(k, x, z, v, y_star,
+    Each iterate is evaluated once (``_evaluate``) for the trace and the
+    gradient step z.  The loop computes the exact prox of z with
+    ``prox_vector`` and passes it to ``perturb(k, x, z, v, y_star,
     value)``, which returns the next iterate, the step's eps and the
     per-coordinate certificates and bounds.  Without ``perturb`` the exact
     prox is the next iterate.
@@ -258,9 +253,9 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         x = np.array(x0, dtype=np.float64, copy=True)
         if x.shape != (prob.n,):
             raise ValidationError(f"x0 has shape {x.shape}, expected ({prob.n},)")
-    store = config.store_iterates
-    if store is None:
-        store = prob.n <= STORE_ITERATES_MAX_N
+        if not np.isfinite(x).all():
+            raise ValidationError("x0 must be finite")
+    store = prob.n <= STORE_ITERATES_MAX_N
     keep_coords = perturb is not None
     trace = IterationTrace(
         algo=algo, f_values=[], step_norms=[], eps_values=[],
@@ -268,21 +263,19 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         supports=[], stepsizes=[], eps_kind=eps_kind,
         coord_certified=[] if keep_coords else None,
         coord_bounds=[] if keep_coords else None)
-
-    def snapshot(x):
-        resid, support = residual_on_support(prob, x)
-        trace.f_values.append(objective(prob, x))
-        trace.support_sizes.append(support.size)
-        trace.supports.append(support.indices)
+    converged = False
+    for k in range(config.max_iters + 1):
+        f, grad, support, resid = _evaluate(prob, x)
+        trace.f_values.append(f)
+        trace.support_sizes.append(len(support))
+        trace.supports.append(support)
         trace.residuals.append(resid)
         if store:
             trace.iterates.append(x.copy())
-
-    snapshot(x)
-    converged = False
-    for k in range(config.max_iters):
+        if converged or k == config.max_iters:
+            break
         v = config.stepsize(k)
-        z = x - v * gradient_smooth(prob, x)
+        z = x - v * grad
         y_star, value = prox_vector(z, v, prob)
         if perturb is None:
             x_new, eps, certified, bounds = y_star, 0.0, None, None
@@ -299,11 +292,8 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         if keep_coords:
             trace.coord_certified.append(certified)
             trace.coord_bounds.append(bounds)
-        snapshot(x_new)
         x = x_new
-        if step_norm <= config.stop_tol:
-            converged = True
-            break
+        converged = step_norm <= config.stop_tol
     trace.converged = converged
     return trace
 

@@ -26,7 +26,7 @@ from lpreg.optimality import (
 def test_classify_zero_point(one_dim):
     report = classify_point(one_dim, [0.0])
     assert report.classification == CLASS_ZERO
-    assert report.support.size == 0
+    assert report.support == ()
     assert report.first_order_residual == 0.0
     assert report.second_order_min_eig is None
 
@@ -166,7 +166,7 @@ def test_enumerate_two_dim_separable(one_dim_tstar):
     t6 = round(one_dim_tstar, 6)
     assert points == {(0.0, 0.0), (t6, 0.0), (0.0, t6), (t6, t6)}
     for _, report in result.minima:
-        if report.support.size:
+        if report.support:
             assert report.first_order_residual <= 1e-8
             assert report.second_order_min_eig > 0
         assert report.growth is not None and report.growth.violations == 0

@@ -7,13 +7,11 @@ from numpy.testing import assert_allclose
 
 from lpreg import (
     Problem,
-    SupportSet,
     generate_instance,
     gradient_smooth,
     load_problem,
     load_trace,
     objective,
-    rescale_weighted,
     save_problem,
     save_trace,
     spectral_norm_sq,
@@ -25,7 +23,7 @@ from lpreg.errors import (
 )
 from lpreg.experiments import make_instances
 from lpreg.problem import SPECTRAL_TOL
-from lpreg.solvers import SolverConfig, run_pga
+from lpreg.solvers import SolverConfig, residual_on_support, run_pga
 
 
 def test_objective_zero_point():
@@ -134,50 +132,6 @@ def test_spectral_norm_plus_margin_covers_the_svd_norm():
 def test_spectral_norm_zero_matrix():
     prob = Problem(A=np.zeros((2, 2)), b=np.zeros(2), lam=1, p=0.5)
     assert spectral_norm_sq(prob) == 0.0
-
-
-def test_rescale_uniform_weights_is_identity():
-    prob = Problem(A=np.eye(2), b=[1.0, 2.0], lam=0.5, p=0.5,
-                   weights=[0.5, 0.5])
-    canonical, scale = rescale_weighted(prob)
-    assert_allclose(scale, [1.0, 1.0])
-    assert_allclose(canonical.A, prob.A)
-
-
-def test_rescale_single_coordinate_example():
-    # lam=1, weight 4, p=1/2: scale (lam/w)^(1/p) = 1/16, column scaled by 1/16
-    prob = Problem(A=[[2.0]], b=[1.0], lam=1.0, p=0.5, weights=[4.0])
-    canonical, scale = rescale_weighted(prob)
-    assert_allclose(scale, [1.0 / 16.0])
-    assert_allclose(canonical.A, [[2.0 / 16.0]])
-    # u = 16 x: objectives agree
-    for x in (0.3, -1.2, 2.0):
-        assert_allclose(
-            objective(canonical, [16.0 * x]),
-            objective(prob, [x]),
-            rtol=1e-12,
-        )
-
-
-def test_rescale_objective_property():
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((3, 4))
-    b = rng.standard_normal(3)
-    w = rng.uniform(0.5, 3.0, size=4)
-    prob = Problem(A=A, b=b, lam=1.3, p=0.5, weights=w)
-    canonical, scale = rescale_weighted(prob)
-    for _ in range(100):
-        x = rng.standard_normal(4)
-        u = x / scale
-        assert_allclose(objective(canonical, u), objective(prob, x),
-                        rtol=1e-12, atol=1e-12)
-        assert np.array_equal(np.flatnonzero(u), np.flatnonzero(x))
-
-
-def test_rescale_requires_weights():
-    prob = Problem(A=np.eye(2), b=[0.0, 0.0], lam=1.0, p=0.5)
-    with pytest.raises(ValidationError):
-        rescale_weighted(prob)
 
 
 def test_generate_zero_noise_consistency():
@@ -298,6 +252,6 @@ def test_quadratic_expansion_identity():
 
 
 def test_support_set():
-    s = SupportSet.of([0.0, 1.5, 0.0, -2.0])
-    assert s.indices == (1, 3)
-    assert s.size == 2
+    prob = Problem(A=np.eye(4), b=np.zeros(4), lam=1.0, p=0.5)
+    _, support = residual_on_support(prob, [0.0, 1.5, 0.0, -2.0])
+    assert support == (1, 3)
