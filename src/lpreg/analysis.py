@@ -60,19 +60,6 @@ class ConditionReport:
     eps_tail_fraction: float
     symbolic_summable: bool | None = None
 
-    def as_dict(self):
-        return {
-            "condition": self.condition,
-            "ok": self.ok,
-            "violations": self.violations,
-            "worst_violation": self.worst_violation,
-            "worst_index": self.worst_index,
-            "constant": self.constant,
-            "eps_sum_sq": self.eps_sum_sq,
-            "eps_tail_fraction": self.eps_tail_fraction,
-            "symbolic_summable": self.symbolic_summable,
-        }
-
 
 def _eps_diagnostics(eps_sq):
     total = math.fsum(eps_sq)
@@ -301,16 +288,10 @@ def check_geometric_recursion(a_seq, delta_seq, eta: float) -> RecursionCertific
         last10 = tail_ratios[-10:]
         if all(b > a * (1.0 + 1e-9) for a, b in zip(last10, last10[1:])):
             tail_ok = False
-    if rho_tail >= 1.0 or not tail_ok:
+    if rho_tail >= 1.0 or not tail_ok or fail_index is not None:
         return RecursionCertificate(
             hypothesis_ok=False,
             fail_index=fail_index if fail_index is not None else tail_start,
-            K=math.nan, theta=math.nan, tau=math.nan,
-            tail_start=tail_start, dominated=False, dominance_fail_index=None,
-        )
-    if fail_index is not None:
-        return RecursionCertificate(
-            hypothesis_ok=False, fail_index=fail_index,
             K=math.nan, theta=math.nan, tau=math.nan,
             tail_start=tail_start, dominated=False, dominance_fail_index=None,
         )

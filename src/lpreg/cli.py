@@ -18,13 +18,13 @@ import math
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis, experiments, optimality, problem, prox, solvers
-from .errors import LpregError
+from .errors import LpregError, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,9 +50,7 @@ class RunManifest:
             "python": platform.python_version(),
         }
         path = out_dir / f"{self.command}-manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _json_dump(path, asdict(self))
         return path
 
 
@@ -71,15 +69,8 @@ def _say(args, message):
 
 def _load_problem_with_overrides(args) -> problem.Problem:
     prob = problem.load_problem(args.problem)
-    if getattr(args, "p", None) is not None or getattr(args, "lam", None) is not None:
-        prob = problem.Problem(
-            A=prob.A,
-            b=prob.b,
-            lam=prob.lam if args.lam is None else args.lam,
-            p=prob.p if args.p is None else args.p,
-            weights=prob.weights,
-        )
-    return prob
+    overrides = {k: getattr(args, k) for k in ("lam", "p") if getattr(args, k) is not None}
+    return replace(prob, **overrides) if overrides else prob
 
 
 def _json_dump(path: Path, data) -> None:
@@ -96,7 +87,7 @@ def cmd_generate(args) -> tuple[int, dict | None]:
     out = args.out_dir / args.out
     problem.save_problem(out, prob)
     planted_path = args.out_dir / (out.stem + "-planted.json")
-    _json_dump(planted_path, {"x": [float(f"{v:.17g}") for v in planted]})
+    _json_dump(planted_path, {"x": planted.tolist()})
     _say(args, f"generate: wrote {out} (m={args.m} n={args.n} s={args.s})")
     return EXIT_OK, dict(
         config={k: getattr(args, k) for k in ("seed", "m", "n", "s", "noise", "lam", "p")},
@@ -143,13 +134,17 @@ def cmd_solve(args) -> tuple[int, dict | None]:
 
 def cmd_prox_table(args) -> tuple[int, dict | None]:
     zs = np.linspace(args.z_min, args.z_max, args.z_count)
+    if not np.isfinite(zs).all():
+        raise ValidationError("z must be finite")
+    prox.ProxQuery(z=0.0, v=args.v, lam=args.lam, p=args.p)  # checks v, lambda, p
+    t, value, tie = prox._prox_abs(np.abs(zs), args.v, np.full(zs.shape, args.lam),
+                                   args.p)
+    # prox_scalar's selection: 0 at a tie or where 0 is the only minimizer
+    argmin = np.where(tie | (t == 0.0), 0.0, np.copysign(t, zs))
     lines = ["z,v,lambda,p,argmin,value,tie"]
-    for z in zs:
-        res = prox.prox_scalar(prox.ProxQuery(z=float(z), v=args.v, lam=args.lam, p=args.p))
-        lines.append(
-            f"{z:.17g},{args.v:.17g},{args.lam:.17g},{args.p:.17g},"
-            f"{res.selection:.17g},{res.value:.17g},{int(res.tie)}"
-        )
+    for z, y, g, is_tie in zip(zs, argmin, value, tie):
+        lines.append(f"{z:.17g},{args.v:.17g},{args.lam:.17g},{args.p:.17g},"
+                     f"{y:.17g},{g:.17g},{int(is_tie)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         out = args.out_dir / args.out
@@ -183,11 +178,8 @@ def cmd_certify(args) -> tuple[int, dict | None]:
     # feeds the stored column through as the eps_k^2 sequence instead.
     eps_sq = trace.eps_values if args.eps_from_trace else None
     h1 = analysis.certify_h1(trace, alpha, eps_sq=eps_sq)
-    if args.beta == "auto":
-        h2 = analysis.certify_h2(prob, trace, beta="auto", v_lo=v_lo)
-    else:
-        h2 = analysis.certify_h2(prob, trace, beta=float(args.beta), v_lo=v_lo)
-    report = {"h1": h1.as_dict(), "h2": h2.as_dict(), "ok": h1.ok and h2.ok}
+    h2 = analysis.certify_h2(prob, trace, beta=args.beta, v_lo=v_lo)
+    report = {"h1": asdict(h1), "h2": asdict(h2), "ok": h1.ok and h2.ok}
     out = args.out_dir / args.report_out
     _json_dump(out, report)
     _say(args, json.dumps(report, sort_keys=True))
@@ -265,7 +257,7 @@ def cmd_enumerate(args) -> tuple[int, dict | None]:
     data = {
         "minima": [
             {
-                "x": [float(f"{v:.17g}") for v in x],
+                "x": x.tolist(),
                 "objective": problem.objective(prob, x),
                 "classification": rep.classification,
                 "first_order_residual": rep.first_order_residual,

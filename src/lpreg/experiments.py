@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -136,22 +136,37 @@ def make_instances():
     ]
 
 
-def reference_solution(prob, algo: str = "pga",
-                       inexact: solvers.Schedule | None = None):
-    """Tight re-solve (stop_tol 1e-13) giving the x*/F* proxies.
+def _reference_run(prob, algo: str, inexact: solvers.Schedule):
+    """The default config of ``algo``, and its run at stop_tol 1e-13.
 
     The reference must come from the same algorithm and schedule as the
     trace being fitted: the inexact runs occasionally settle in a different
     (sometimes better) basin than exact PGA, and a rate fit against a
     foreign limit is meaningless.
     """
-    cfg = solvers.SolverConfig(
-        v=solvers.default_stepsize(prob), stop_tol=1e-13, max_iters=200_000,
-        inexact=inexact or solvers.Schedule.zero(),
-    )
-    trace = solvers.runner(algo)(prob, cfg)
-    x_star = trace.final_iterate
-    return x_star, trace.f_values[-1]
+    cfg = solvers.SolverConfig(v=solvers.default_stepsize(prob), inexact=inexact)
+    return cfg, solvers.runner(algo)(prob, replace(cfg, stop_tol=1e-13, max_iters=200_000))
+
+
+def reference_solution(prob, algo: str = "pga",
+                       inexact: solvers.Schedule | None = None):
+    """Tight re-solve (stop_tol 1e-13) giving the x*/F* proxies."""
+    _, trace = _reference_run(prob, algo, inexact or solvers.Schedule.zero())
+    return trace.final_iterate, trace.f_values[-1]
+
+
+def _solve_family(algo: str, inexact: solvers.Schedule):
+    """One reference run of ``algo`` per instance: the artifacts (problems,
+    default configs, the default-tolerance traces cut from the runs) and F*."""
+    artifacts = {"problems": [], "configs": [], "traces": []}
+    f_stars = []
+    for prob in make_instances():
+        cfg, ref = _reference_run(prob, algo, inexact)
+        artifacts["problems"].append(prob)
+        artifacts["configs"].append(cfg)
+        artifacts["traces"].append(solvers._cut(ref, cfg))
+        f_stars.append(ref.f_values[-1])
+    return artifacts, f_stars
 
 
 def _monotone(f_values, f0_scale):
@@ -178,24 +193,17 @@ def fit_tail_rate(trace, f_star, n_hat):
     start = min(start, max(0, k_floor - 30))
     # cut before the floating-point floor: past k_floor the gap measures
     # rounding of F, not convergence
-    est = analysis.fit_series(series[start:k_floor + 1], tail_frac=1.0,
-                              quantity="objective-gap")
-    return est, start
+    return analysis.fit_series(series[start:k_floor + 1], tail_frac=1.0,
+                               quantity="objective-gap")
 
 
 def exp_pga_linear() -> ExperimentResult:
     rows = []
     failures = []
-    artifacts = {"problems": [], "configs": [], "traces": []}
-    for seed, prob in zip(INSTANCE_SEEDS, make_instances()):
-        cfg = solvers.SolverConfig(v=solvers.default_stepsize(prob))
-        trace = solvers.run_pga(prob, cfg)
-        artifacts["problems"].append(prob)
-        artifacts["configs"].append(cfg)
-        artifacts["traces"].append(trace)
-        _, f_star = reference_solution(prob)
+    artifacts, f_stars = _solve_family("pga", solvers.Schedule.zero())
+    for seed, trace, f_star in zip(INSTANCE_SEEDS, artifacts["traces"], f_stars):
         n_hat = analysis.detect_support_identification(trace)
-        fit, _ = fit_tail_rate(trace, f_star, n_hat)
+        fit = fit_tail_rate(trace, f_star, n_hat)
         resid = trace.residuals[-1]
         checks = {
             "converged": bool(trace.converged),
@@ -233,20 +241,13 @@ def _exp_ipga(algo: str) -> ExperimentResult:
     rows = []
     failures = []
     matches = 0
-    artifacts = {"problems": [], "configs": [], "traces": []}
-    for seed, prob in zip(INSTANCE_SEEDS, make_instances()):
-        v = solvers.default_stepsize(prob)
-        cfg = solvers.SolverConfig(
-            v=v, inexact=solvers.Schedule.geometric(c, rho)
-        )
-        trace = solvers.runner(algo)(prob, cfg)
-        artifacts["problems"].append(prob)
-        artifacts["configs"].append(cfg)
-        artifacts["traces"].append(trace)
-        exact = solvers.run_pga(prob, solvers.SolverConfig(v=v))
-        _, f_star = reference_solution(prob, algo=algo, inexact=cfg.inexact)
+    artifacts, f_stars = _solve_family(algo, solvers.Schedule.geometric(c, rho))
+    for seed, prob, cfg, trace, f_star in zip(
+            INSTANCE_SEEDS, artifacts["problems"], artifacts["configs"],
+            artifacts["traces"], f_stars):
+        exact = solvers.run_pga(prob, solvers.SolverConfig(v=cfg.v))
         n_hat = analysis.detect_support_identification(trace)
-        fit, _ = fit_tail_rate(trace, f_star, n_hat)
+        fit = fit_tail_rate(trace, f_star, n_hat)
         certs = not solvers._control_violations(trace, cfg.inexact, trace.eps_kind)
         dist = float(np.linalg.norm(trace.final_iterate - exact.final_iterate))
         same_basin = dist <= 1e-5

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,15 +65,6 @@ class OptimalityReport:
     second_order_min_eig: float | None  # None iff support is empty
     classification: str
     growth: GrowthProbeResult | None = None
-
-    def with_growth(self, probe: GrowthProbeResult) -> "OptimalityReport":
-        return OptimalityReport(
-            support=self.support,
-            first_order_residual=self.first_order_residual,
-            second_order_min_eig=self.second_order_min_eig,
-            classification=self.classification,
-            growth=probe,
-        )
 
 
 def second_order_matrix(prob: Problem, x) -> np.ndarray:
@@ -334,12 +325,12 @@ def enumerate_local_minima(
         report = classify_point(prob, x)
         if report.classification == CLASS_LOCAL_MIN:
             probe = growth_probe(prob, x, n_samples=probe_samples, seed=seed)
-            minima.append((x, report.with_growth(probe)))
+            minima.append((x, replace(report, growth=probe)))
 
     zero = np.zeros(prob.n)
     zero_probe = growth_probe(prob, zero, n_samples=probe_samples, seed=seed)
     if zero_probe.violations == 0:
-        minima.append((zero, classify_point(prob, zero).with_growth(zero_probe)))
+        minima.append((zero, replace(classify_point(prob, zero), growth=zero_probe)))
     minima.sort(key=lambda item: objective(prob, item[0]))
     return EnumerationResult(minima=minima, incomplete=incomplete)
 

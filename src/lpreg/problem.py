@@ -14,6 +14,7 @@ inequalities and relies on this.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -214,6 +215,23 @@ def generate_instance(
 _REQUIRED_KEYS = ("m", "n", "p", "lambda", "A", "b")
 
 
+_float_array = functools.partial(np.asarray, dtype=np.float64)
+
+
+def _field(data, key, convert, shape=None):
+    """``convert(data[key])``, of the header's ``shape`` when one is given.
+
+    A value that fails either is a ProblemFormatError naming the field.
+    """
+    try:
+        value = convert(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"field {key!r}: {exc}") from exc
+    if shape is not None and value.shape != shape:
+        raise ProblemFormatError(f"{key} has shape {value.shape}, header says {shape}")
+    return value
+
+
 def load_problem(path) -> Problem:
     """Read a problem instance from its JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -226,42 +244,31 @@ def load_problem(path) -> Problem:
     for key in _REQUIRED_KEYS:
         if key not in data:
             raise ProblemFormatError(f"missing required field {key!r}")
-    m, n = int(data["m"]), int(data["n"])
-    A = np.asarray(data["A"], dtype=np.float64)
-    b = np.asarray(data["b"], dtype=np.float64)
-    if A.shape != (m, n):
-        raise ProblemFormatError(f"A has shape {A.shape}, header says ({m}, {n})")
-    if b.shape != (m,):
-        raise ProblemFormatError(f"b has length {b.shape[0]}, header says {m}")
+    m, n = _field(data, "m", int), _field(data, "n", int)
+    A = _field(data, "A", _float_array, (m, n))
+    b = _field(data, "b", _float_array, (m,))
     weights = None
     if data.get("weights") is not None:
-        weights = np.asarray(data["weights"], dtype=np.float64)
-        if weights.shape != (n,):
-            raise ProblemFormatError(
-                f"weights has length {weights.shape[0]}, header says {n}"
-            )
+        weights = _field(data, "weights", _float_array, (n,))
+    lam, p = _field(data, "lambda", float), _field(data, "p", float)
     try:
-        return Problem(A=A, b=b, lam=float(data["lambda"]), p=float(data["p"]),
-                       weights=weights)
+        return Problem(A=A, b=b, lam=lam, p=p, weights=weights)
     except (ValidationError, DimensionMismatchError) as exc:
         raise ProblemFormatError(str(exc)) from exc
 
 
 def save_problem(path, prob: Problem) -> None:
-    """Write a problem instance to its JSON file (17 significant digits)."""
-    def num(x):
-        return float(f"{x:.17g}")
-
+    """Write a problem instance to its JSON file (shortest round-trip floats)."""
     data = {
         "m": prob.m,
         "n": prob.n,
-        "p": num(prob.p),
-        "lambda": num(prob.lam),
-        "A": [[num(v) for v in row] for row in prob.A],
-        "b": [num(v) for v in prob.b],
+        "p": float(prob.p),
+        "lambda": float(prob.lam),
+        "A": prob.A.tolist(),
+        "b": prob.b.tolist(),
     }
     if prob.weights is not None:
-        data["weights"] = [num(v) for v in prob.weights]
+        data["weights"] = prob.weights.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=None, separators=(",", ":"), sort_keys=True)
         fh.write("\n")

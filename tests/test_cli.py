@@ -1,7 +1,10 @@
 import json
 import math
 
-from lpreg import load_problem, load_trace, spectral_norm_sq
+import numpy as np
+import pytest
+
+from lpreg import ProxQuery, load_problem, load_trace, prox_scalar, spectral_norm_sq
 from lpreg.cli import main
 
 
@@ -57,13 +60,36 @@ def test_certify_point_zero(tmp_path, capsys):
 
 
 def test_prox_table(tmp_path):
+    # z = +-1.5 is the threshold tie of p = 1/2 at v = lambda = 1
     out = str(tmp_path)
     code = run_cli("--out-dir", out, "--quiet", "prox-table", "--z-min", "-2",
-                   "--z-max", "2", "--z-count", "5", "--out", "tab.csv")
+                   "--z-max", "2", "--z-count", "9", "--out", "tab.csv")
     assert code == 0
     lines = (tmp_path / "tab.csv").read_text().strip().splitlines()
     assert lines[0] == "z,v,lambda,p,argmin,value,tie"
-    assert len(lines) == 6
+    assert len(lines) == 10
+    for z, line in zip(np.linspace(-2.0, 2.0, 9), lines[1:]):
+        res = prox_scalar(ProxQuery(z=float(z), v=1.0, lam=1.0, p=0.5))
+        assert line == (f"{z:.17g},1,1,0.5,{res.selection:.17g},"
+                        f"{res.value:.17g},{int(res.tie)}")
+    assert [line[-1] for line in lines[1:]] == list("010000010")
+
+
+@pytest.mark.parametrize("flag, value", [("--v", "0"), ("--lambda", "-1"),
+                                         ("--p", "1.5")])
+def test_prox_table_bad_parameter_exits_1(tmp_path, flag, value):
+    assert run_cli("--out-dir", str(tmp_path), "--quiet", "prox-table",
+                   flag, value) == 1
+
+
+def test_solve_malformed_problem_exits_1(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text('{"m": 1, "n": 1, "p": 0.5, "lambda": 1.0, '
+                    '"A": [[1, 2], [3]], "b": [1.0]}')
+    code = run_cli("--out-dir", str(tmp_path), "--quiet", "solve",
+                   "--problem", str(path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: field 'A'")
 
 
 def test_certify_command(tmp_path):

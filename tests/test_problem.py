@@ -173,12 +173,17 @@ def test_problem_validation():
 
 def test_problem_file_roundtrip(tmp_path):
     prob, _ = generate_instance(seed=3, m=4, n=6, s=2, noise=0.05, lam=0.3, p=0.6)
-    path = tmp_path / "prob.json"
-    save_problem(path, prob)
-    loaded = load_problem(path)
-    assert np.array_equal(loaded.A, prob.A)
-    assert np.array_equal(loaded.b, prob.b)
-    assert loaded.lam == prob.lam and loaded.p == prob.p
+    edge = [-0.0, 5e-324, 1 / 3, 0.1 + 0.2, 1.7976931348623157e308]
+    weighted = Problem(A=[edge, edge[::-1]], b=edge[:2], lam=1 / 3, p=0.1 + 0.2,
+                       weights=[5e-324, 1 / 3, 0.1 + 0.2, 1.7976931348623157e308, 1.0])
+    for prob in (prob, weighted):
+        path = tmp_path / "prob.json"
+        save_problem(path, prob)
+        loaded = load_problem(path)
+        for name in ("A", "b", "weights"):
+            if getattr(prob, name) is not None:
+                assert getattr(loaded, name).tobytes() == getattr(prob, name).tobytes()
+        assert loaded.lam == prob.lam and loaded.p == prob.p
 
 
 def test_problem_file_missing_field(tmp_path):
@@ -193,6 +198,23 @@ def test_problem_file_invalid_p(tmp_path):
     data = {"m": 1, "n": 1, "p": 1.0, "lambda": 1.0, "A": [[1.0]], "b": [1.0]}
     path.write_text(json.dumps(data))
     with pytest.raises(ProblemFormatError, match="p must lie"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("m", "x", "field 'm'"),
+    ("lambda", "abc", "field 'lambda'"),
+    ("A", [[1, 2], [3]], r"field 'A'.*shape was \(2,\)"),
+    ("A", [["a"]], "field 'A'.*'a'"),
+    ("b", 3, r"b has shape \(\), header says \(1,\)"),
+    ("b", [[1]], r"b has shape \(1, 1\), header says \(1,\)"),
+    ("weights", 2, r"weights has shape \(\), header says \(1,\)"),
+])
+def test_problem_file_malformed_field(tmp_path, key, value, message):
+    path = tmp_path / "bad.json"
+    data = {"m": 1, "n": 1, "p": 0.5, "lambda": 1.0, "A": [[1.0]], "b": [1.0]}
+    path.write_text(json.dumps({**data, key: value}))
+    with pytest.raises(ProblemFormatError, match=message):
         load_problem(path)
 
 
