@@ -73,6 +73,37 @@ def _load_problem_with_overrides(args) -> problem.Problem:
     return replace(prob, **overrides) if overrides else prob
 
 
+def _auto_or_float(text: str):
+    """A flag value that is 'auto' or a number."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or a number, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """A flag value that is an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _json_point(text: str) -> np.ndarray:
+    """A flag value that is a JSON array of numbers."""
+    try:
+        return np.asarray(json.loads(text), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected a JSON array of numbers, got {text!r}") from None
+
+
 def _json_dump(path: Path, data) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -168,7 +199,7 @@ def cmd_certify(args) -> tuple[int, dict | None]:
     if args.alpha == "auto":
         alpha = 1.0 / (2.0 * v_lo) - a_sq
     else:
-        alpha = float(args.alpha)
+        alpha = args.alpha
     if not math.isfinite(alpha) or alpha <= 0:
         print(f"error: nonpositive alpha {alpha}; stepsize too large?",
               file=sys.stderr)
@@ -223,12 +254,11 @@ def cmd_rate(args) -> tuple[int, dict | None]:
 
 def cmd_certify_point(args) -> tuple[int, dict | None]:
     prob = problem.load_problem(args.problem)
-    x = np.asarray(json.loads(args.point), dtype=np.float64)
-    report = optimality.classify_point(prob, x, fo_tol=args.fo_tol,
+    report = optimality.classify_point(prob, args.point, fo_tol=args.fo_tol,
                                        so_tol=args.so_tol)
     probe = None
     if args.probe:
-        probe = optimality.growth_probe(prob, x, seed=args.seed)
+        probe = optimality.growth_probe(prob, args.point, seed=args.seed)
     data = {
         "classification": report.classification,
         "support": list(report.support),
@@ -347,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("prox-table", help="pin the scalar prox on a z grid")
     t.add_argument("--z-min", type=float, default=-10.0)
     t.add_argument("--z-max", type=float, default=10.0)
-    t.add_argument("--z-count", type=int, default=101)
+    t.add_argument("--z-count", type=_positive_int, default=101)
     t.add_argument("--v", type=float, default=1.0)
     t.add_argument("--lambda", dest="lam", type=float, default=1.0)
     t.add_argument("--p", type=float, default=0.5)
@@ -357,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="check descent conditions on a trace")
     c.add_argument("--trace", required=True)
     c.add_argument("--problem", required=True)
-    c.add_argument("--alpha", default="auto")
-    c.add_argument("--beta", default="auto")
+    c.add_argument("--alpha", type=_auto_or_float, default="auto")
+    c.add_argument("--beta", type=_auto_or_float, default="auto")
     c.add_argument("--v", type=float, default=None,
                    help="stepsize used by the traced run (default rule if omitted)")
     c.add_argument("--eps-from-trace", action="store_true",
@@ -377,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("certify-point", help="classify a point")
     cp.add_argument("--problem", required=True)
-    cp.add_argument("--point", required=True, help="JSON array of length n")
+    cp.add_argument("--point", type=_json_point, required=True,
+                    help="JSON array of length n")
     cp.add_argument("--fo-tol", type=float, default=1e-8)
     cp.add_argument("--so-tol", type=float, default=1e-10)
     cp.add_argument("--probe", action="store_true",

@@ -17,7 +17,7 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class Problem:
     lam: float
     p: float
     weights: np.ndarray | None = None
+    # per-coordinate weights (uniform ``lam`` when no weights given), read-only
+    lambda_vec: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_readonly(np.atleast_2d(self.A))
@@ -81,7 +83,9 @@ class Problem:
             raise ValidationError(f"lambda must be positive, got {self.lam}")
         if not (0.0 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0, 1), got {self.p}")
-        if self.weights is not None:
+        if self.weights is None:
+            w = _as_readonly(np.full(A.shape[1], self.lam))
+        else:
             w = _as_readonly(np.atleast_1d(self.weights))
             if w.shape != (A.shape[1],):
                 raise DimensionMismatchError(
@@ -90,6 +94,7 @@ class Problem:
             if not np.isfinite(w).all() or not (w > 0).all():
                 raise ValidationError("weights must be finite and positive")
             object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "lambda_vec", w)
 
     @property
     def m(self) -> int:
@@ -98,13 +103,6 @@ class Problem:
     @property
     def n(self) -> int:
         return self.A.shape[1]
-
-    @property
-    def lambda_vec(self) -> np.ndarray:
-        """Per-coordinate weights (uniform ``lam`` when no weights given)."""
-        if self.weights is not None:
-            return self.weights
-        return np.full(self.n, self.lam)
 
     @property
     def lambda_lower(self) -> float:
@@ -218,6 +216,13 @@ _REQUIRED_KEYS = ("m", "n", "p", "lambda", "A", "b")
 _float_array = functools.partial(np.asarray, dtype=np.float64)
 
 
+def _integer(value) -> int:
+    """A JSON integer as is; a float, a string or a boolean is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _field(data, key, convert, shape=None):
     """``convert(data[key])``, of the header's ``shape`` when one is given.
 
@@ -244,7 +249,7 @@ def load_problem(path) -> Problem:
     for key in _REQUIRED_KEYS:
         if key not in data:
             raise ProblemFormatError(f"missing required field {key!r}")
-    m, n = _field(data, "m", int), _field(data, "n", int)
+    m, n = _field(data, "m", _integer), _field(data, "n", _integer)
     A = _field(data, "A", _float_array, (m, n))
     b = _field(data, "b", _float_array, (m,))
     weights = None

@@ -23,6 +23,10 @@ minimizer set is set-valued there, so any selection is admissible).
 One array kernel solves for all coordinates of a vector at once.
 ``prox_vector`` calls it once per vector, ``prox_scalar`` on one
 coordinate, and ``prox_scalar_half`` with the closed-form root for p = 1/2.
+The kernel's safeguarded Newton solve starts at t = z, except at p = 1/2,
+where it starts at the closed-form root (half thresholding, Xu et al.,
+IEEE TNNLS 2012) clamped into the bracket; either way the returned root is
+the one that passes the kernel's own residual check.
 
 Inexactness is simulated with certificates: ``prox_inexact_value``
 perturbs the exact vector prox returned by ``prox_vector`` and recomputes
@@ -101,6 +105,20 @@ def lower_bound(v: float, lam, p: float):
     return (v * lam * p * (1.0 - p)) ** (1.0 / (2.0 - p))
 
 
+def _half_root(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Largest root of the p = 1/2 stationarity equation, 0 where none.
+
+    With c = v*lam, substituting t = u^2 turns t + (c/2) t^(-1/2) = a into
+    the depressed cubic u^3 - a u + c/2 = 0, whose largest root has the
+    trigonometric form below; the root exists iff a >= 3 * (c/4)^(2/3).
+    """
+    has = (a > 0.0) & (a >= 3.0 * (c / 4.0) ** (2.0 / 3.0))
+    a = np.where(has, a, 1.0)
+    arg = np.maximum(-1.0, -(3.0 * math.sqrt(3.0) * c) / (4.0 * a ** 1.5))
+    u = 2.0 * np.sqrt(a / 3.0) * np.cos(np.arccos(arg) / 3.0)
+    return np.where(has, u * u, 0.0)
+
+
 def _prox_abs(a: np.ndarray, v: float, lam: np.ndarray, p: float, root=None):
     """The prox kernel on magnitudes a = |z|, all coordinates at once.
 
@@ -109,9 +127,13 @@ def _prox_abs(a: np.ndarray, v: float, lam: np.ndarray, p: float, root=None):
     and t give the same value.  ``root`` (0 where none) replaces the solve.
 
     r(t) = t + v*lam*p*t^(p-1) - a is convex and increasing on [t_lb, a],
-    so Newton from a converges monotonically; bisection safeguards every
-    step and takes over after NEWTON_MAX_ITERS.  A coordinate leaves the
-    active set once converged, so its result does not depend on the others.
+    which brackets its one root there.  Newton starts at a, or at p = 1/2 at
+    the closed-form root clamped into the bracket, where it usually passes
+    the residual check at once.  Each step keeps the bracket around the
+    root, so convergence rests on the bracket, not on a monotone Newton
+    sequence: a step that leaves it is replaced by bisection, which takes
+    over after NEWTON_MAX_ITERS.  A coordinate leaves the active set once
+    converged, so its result does not depend on the others.
     """
     if root is None:
         root = np.zeros_like(a)
@@ -125,16 +147,19 @@ def _prox_abs(a: np.ndarray, v: float, lam: np.ndarray, p: float, root=None):
         idx = np.flatnonzero((t_lb < a) & ~(r(t_lb, a, c) > 0.0))
         a_, c_, lo = a[idx], c[idx], t_lb[idx]
         hi = t = a_
+        if p == 0.5:
+            # c_ / p is v*lam exactly
+            t = np.minimum(np.maximum(_half_root(a_, c_ / p), lo), hi)
         rt = r(t, a_, c_)
         tol = GPRIME_TOL * (v + 1.0)
         for k in range(NEWTON_MAX_ITERS + BISECT_MAX_ITERS):
             done = np.abs(rt) <= tol
+            if done.all():
+                break
             if done.any():
                 root[idx[done]] = t[done]
                 idx, a_, c_, lo, hi, t, rt = (
                     x[~done] for x in (idx, a_, c_, lo, hi, t, rt))
-            if not idx.size:
-                break
             up = rt > 0.0
             hi = np.where(up, t, hi)
             lo = np.where(up, lo, t)
@@ -151,16 +176,18 @@ def _prox_abs(a: np.ndarray, v: float, lam: np.ndarray, p: float, root=None):
                     break
                 t = np.where(stuck, t, mid)
             rt = r(t, a_, c_)
-        # IEEE floor: the residual cannot shrink below the rounding noise of
-        # its own evaluation; accept when the bracket is a single ulp wide.
-        scale = a_ + t + c_ * t ** (p - 1.0)
-        floor = np.abs(rt) <= np.maximum(tol, 8.0 * np.finfo(float).eps * scale)
-        if not floor.all():
-            j = np.flatnonzero(~floor)[0]
-            raise ProxConvergenceError(
-                f"stationarity solve stalled at t={float(t[j])!r} "
-                f"with residual {float(rt[j])!r}"
-            )
+        if not done.all():
+            # IEEE floor: the residual cannot shrink below the rounding
+            # noise of its own evaluation; accept when the bracket is a
+            # single ulp wide.
+            scale = a_ + t + c_ * t ** (p - 1.0)
+            floor = np.abs(rt) <= np.maximum(tol, 8.0 * np.finfo(float).eps * scale)
+            if not floor.all():
+                j = np.flatnonzero(~floor)[0]
+                raise ProxConvergenceError(
+                    f"stationarity solve stalled at t={float(t[j])!r} "
+                    f"with residual {float(rt[j])!r}"
+                )
         root[idx] = t
     has = root > 0.0
     g0 = a * a / (2.0 * v)
@@ -191,20 +218,12 @@ def prox_scalar(q: ProxQuery) -> ProxResult:
 def prox_scalar_half(z: float, v: float, lam: float) -> ProxResult:
     """Closed-form prox for p = 1/2 (half thresholding).
 
-    Substituting t = u^2 turns the stationarity equation into the depressed
-    cubic u^3 - z u + v*lam/2 = 0, whose largest root has the trigonometric
-    form below; the root exists iff |z| >= 3 * (v*lam/4)^(2/3), and the
-    value tie against 0 happens exactly at |z| = (3/2) * (v*lam)^(2/3).
+    The kernel's tie rule on the closed-form root of ``_half_root``, with
+    no stationarity solve; the value tie against 0 happens exactly at
+    |z| = (3/2) * (v*lam)^(2/3).
     """
     q = ProxQuery(z=z, v=v, lam=lam, p=0.5)
-    a = abs(q.z)
-    c = v * lam
-    root = 0.0
-    if a > 0.0 and a >= 3.0 * (c / 4.0) ** (2.0 / 3.0):
-        arg = -(3.0 * math.sqrt(3.0) * c) / (4.0 * a ** 1.5)
-        u = 2.0 * math.sqrt(a / 3.0) * math.cos(math.acos(max(-1.0, arg)) / 3.0)
-        root = u * u
-    return _one_coordinate(q, np.array([root]))
+    return _one_coordinate(q, _half_root(np.array([abs(q.z)]), v * lam))
 
 
 def prox_vector(z, v: float, prob: Problem) -> tuple[np.ndarray, np.ndarray]:

@@ -76,10 +76,28 @@ def test_prox_table(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--v", "0"), ("--lambda", "-1"),
-                                         ("--p", "1.5")])
+                                         ("--p", "1.5"), ("--z-count", "-1")])
 def test_prox_table_bad_parameter_exits_1(tmp_path, flag, value):
     assert run_cli("--out-dir", str(tmp_path), "--quiet", "prox-table",
                    flag, value) == 1
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("certify", "--alpha", "abc"),
+    ("certify", "--beta", "abc"),
+    ("certify-point", "--point", "abc"),
+    ("certify-point", "--point", '["a"]'),
+])
+def test_certify_bad_parameter_exits_1(tmp_path, capsys, command, flag, value):
+    out = str(tmp_path)
+    run_cli("--out-dir", out, "--quiet", "generate", "--n", "4", "--m", "3",
+            "--s", "1", "--out", "p.json")
+    capsys.readouterr()
+    extra = ["--trace", str(tmp_path / "t.csv")] if command == "certify" else []
+    code = run_cli("--out-dir", out, "--quiet", command, "--problem",
+                   str(tmp_path / "p.json"), *extra, flag, value)
+    assert code == 1
+    assert f"error: argument {flag}: expected" in capsys.readouterr().err
 
 
 def test_solve_malformed_problem_exits_1(tmp_path, capsys):

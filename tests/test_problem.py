@@ -209,6 +209,9 @@ def test_problem_file_invalid_p(tmp_path):
     ("b", 3, r"b has shape \(\), header says \(1,\)"),
     ("b", [[1]], r"b has shape \(1, 1\), header says \(1,\)"),
     ("weights", 2, r"weights has shape \(\), header says \(1,\)"),
+    ("m", 1.9, "field 'm': expected an integer, got 1.9"),
+    ("m", 1.0, "field 'm': expected an integer, got 1.0"),
+    ("n", True, "field 'n': expected an integer, got True"),
 ])
 def test_problem_file_malformed_field(tmp_path, key, value, message):
     path = tmp_path / "bad.json"

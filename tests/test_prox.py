@@ -16,6 +16,9 @@ from lpreg import (
 )
 from lpreg.errors import ValidationError
 from lpreg.experiments import ARGMIN_TOL, VALUE_TOL
+from lpreg.prox import GPRIME_TOL, TIE_TOL
+
+from conftest import scalar_newton_oracle
 
 
 def g_val(q, t):
@@ -66,6 +69,57 @@ def test_half_thresholding_agrees_with_general_path():
         b = prox_scalar_half(z, v, lam)
         assert abs(a.selection - b.selection) <= 1e-10 * (1.0 + abs(a.selection))
         assert abs(a.value - b.value) <= 1e-10 * (1.0 + abs(a.value))
+
+
+def _newton_reference(z, v, lam):
+    """Minimizers and value of g at p = 1/2 from the plain Newton solve of
+    conftest, started at |z|: no closed form and no prox kernel.  Near the
+    tie both 0 and the root are admissible."""
+    a, k = abs(z), math.sqrt(0.5 / v)
+    g0 = a * a / (2.0 * v)
+    t = scalar_newton_oracle(k, k * a, lam, 0.5, t0=a) if a > 0.0 else 0.0
+    gt = lam * math.sqrt(t) + (t - a) ** 2 / (2.0 * v)
+    if t > 0.0 and abs(g0 - gt) <= 4.0 * TIE_TOL * (1.0 + g0):
+        return (0.0, math.copysign(t, z)), min(g0, gt)
+    if t > 0.0 and gt < g0:
+        return (math.copysign(t, z),), gt
+    return (0.0,), g0
+
+
+HALF_PROXES = {
+    "prox_scalar": lambda z, v, lam: prox_scalar(ProxQuery(z=z, v=v, lam=lam, p=0.5)),
+    "prox_scalar_half": prox_scalar_half,
+}
+
+
+def _half_queries():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        yield (float(rng.uniform(-15.0, 15.0)), float(rng.uniform(0.05, 4.0)),
+               float(rng.uniform(0.05, 8.0)))
+    for v, lam in ((1.0, 1.0), (0.07, 3.3), (2.5, 0.2)):
+        # just above the root-existence bound, where arccos is ill-conditioned
+        a_min = 3.0 * (v * lam / 4.0) ** (2.0 / 3.0)
+        for e in range(-15, 0):
+            yield a_min * (1.0 + 10.0 ** e), v, lam
+        # within 1e-9 of the tie point
+        a_tie = 1.5 * (v * lam) ** (2.0 / 3.0)
+        for off in np.concatenate([[0.0], rng.uniform(-1e-9, 1e-9, size=10)]):
+            yield -(a_tie + off), v, lam
+
+
+@pytest.mark.parametrize("name", sorted(HALF_PROXES))
+def test_half_prox_matches_plain_newton(name):
+    for z, v, lam in _half_queries():
+        res = HALF_PROXES[name](z, v, lam)
+        minimizers, value = _newton_reference(z, v, lam)
+        assert min(abs(res.selection - m) for m in minimizers) <= 1e-10, (z, v, lam)
+        assert abs(res.value - value) <= 1e-10 * (1.0 + abs(value)), (z, v, lam)
+        t = abs(res.minimizers[-1])
+        if t > 0.0:
+            # the returned root passes the kernel's residual check
+            r = t + 0.5 * v * lam / math.sqrt(t) - abs(z)
+            assert abs(r) <= GPRIME_TOL * (1.0 + v), (z, v, lam, r)
 
 
 def test_half_thresholding_zero():
