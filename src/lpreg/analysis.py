@@ -143,16 +143,14 @@ def estimate_beta(prob: Problem, trace: IterationTrace, v_lo: float) -> float:
     """
     a_sq = spectral_upper_bound(spectral_norm_sq(prob))
     p = prob.p
+    min_mag = math.inf
     if trace.iterates is not None and len(trace.iterates) > 1:
-        tail = trace.iterates[len(trace.iterates) // 2:]
-        min_mag = math.inf
-        for x in tail:
-            nz = np.abs(x[x != 0.0])
-            if nz.size:
-                min_mag = min(min_mag, float(nz.min()))
-        if math.isinf(min_mag):
-            min_mag = lower_bound(v_lo, prob.lambda_lower, p)
-    else:
+        # one copy of the tail, made absolute in place; zeros do not count
+        tail = np.array(trace.iterates[len(trace.iterates) // 2:])
+        np.abs(tail, out=tail)
+        tail[tail == 0.0] = math.inf
+        min_mag = float(tail.min())
+    if math.isinf(min_mag):
         min_mag = lower_bound(v_lo, prob.lambda_lower, p)
     lam_max = float(prob.lambda_vec.max())
     try:

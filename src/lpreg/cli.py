@@ -73,15 +73,18 @@ def _load_problem_with_overrides(args) -> problem.Problem:
     return replace(prob, **overrides) if overrides else prob
 
 
-def _auto_or_float(text: str):
-    """A flag value that is 'auto' or a number."""
+def _auto_or_positive(text: str):
+    """A flag value that is 'auto' or a positive finite number."""
     if text == "auto":
         return text
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
+        value = math.nan
+    if not (0.0 < value < math.inf):
         raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a number, got {text!r}") from None
+            f"expected 'auto' or a positive finite number, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -168,10 +171,10 @@ def cmd_prox_table(args) -> tuple[int, dict | None]:
     if not np.isfinite(zs).all():
         raise ValidationError("z must be finite")
     prox.ProxQuery(z=0.0, v=args.v, lam=args.lam, p=args.p)  # checks v, lambda, p
-    t, value, tie = prox._prox_abs(np.abs(zs), args.v, np.full(zs.shape, args.lam),
-                                   args.p)
-    # prox_scalar's selection: 0 at a tie or where 0 is the only minimizer
-    argmin = np.where(tie | (t == 0.0), 0.0, np.copysign(t, zs))
+    idx, t, tie_, value = prox._prox_abs(
+        np.abs(zs), prox._Prepared(args.v, np.full(zs.shape, args.lam), args.p))
+    argmin, tie = np.zeros(zs.size), np.zeros(zs.size, dtype=bool)
+    argmin[idx], tie[idx] = prox._selection(t, tie_, zs[idx]), tie_
     lines = ["z,v,lambda,p,argmin,value,tie"]
     for z, y, g, is_tie in zip(zs, argmin, value, tie):
         lines.append(f"{z:.17g},{args.v:.17g},{args.lam:.17g},{args.p:.17g},"
@@ -387,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("certify", help="check descent conditions on a trace")
     c.add_argument("--trace", required=True)
     c.add_argument("--problem", required=True)
-    c.add_argument("--alpha", type=_auto_or_float, default="auto")
-    c.add_argument("--beta", type=_auto_or_float, default="auto")
+    c.add_argument("--alpha", type=_auto_or_positive, default="auto")
+    c.add_argument("--beta", type=_auto_or_positive, default="auto")
     c.add_argument("--v", type=float, default=None,
                    help="stepsize used by the traced run (default rule if omitted)")
     c.add_argument("--eps-from-trace", action="store_true",

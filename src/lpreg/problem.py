@@ -121,11 +121,16 @@ def _check_x(prob: Problem, x) -> np.ndarray:
     return x
 
 
-def _objective_at(prob: Problem, x: np.ndarray, r: np.ndarray) -> float:
-    """F(x) given the residual r = A x - b."""
-    resid = math.fsum((r * r).tolist())
-    pen_terms = prob.lambda_vec * np.abs(x) ** prob.p
-    return resid + math.fsum(pen_terms.tolist())
+def _objective_at(prob: Problem, r: np.ndarray, lam: np.ndarray,
+                  ax: np.ndarray) -> float:
+    """F(x) from the residual r = A x - b and the weights lam and magnitudes
+    ax = |x_i| of coordinates that cover supp(x).
+
+    fsum is exact, so the zero terms of coordinates off the support change
+    nothing: the penalty may run over all of x or over its support alone.
+    """
+    return (math.fsum((r * r).tolist())
+            + math.fsum((lam * ax ** prob.p).tolist()))
 
 
 def _gradient_at(prob: Problem, r: np.ndarray) -> np.ndarray:
@@ -136,7 +141,7 @@ def _gradient_at(prob: Problem, r: np.ndarray) -> np.ndarray:
 def objective(prob: Problem, x) -> float:
     """F(x) = ||Ax-b||^2 + sum_i lambda_i |x_i|^p, compensated summation."""
     x = _check_x(prob, x)
-    return _objective_at(prob, x, prob.A @ x - prob.b)
+    return _objective_at(prob, prob.A @ x - prob.b, prob.lambda_vec, np.abs(x))
 
 
 def gradient_smooth(prob: Problem, x) -> np.ndarray:

@@ -23,9 +23,13 @@ minimizer set is set-valued there, so any selection is admissible).
 One array kernel solves for all coordinates of a vector at once.
 ``prox_vector`` calls it once per vector, ``prox_scalar`` on one
 coordinate, and ``prox_scalar_half`` with the closed-form root for p = 1/2.
-The kernel's safeguarded Newton solve starts at t = z, except at p = 1/2,
-where it starts at the closed-form root (half thresholding, Xu et al.,
-IEEE TNNLS 2012) clamped into the bracket; either way the returned root is
+What depends only on (v, lambda, p) is prepared once (``_Prepared``; the
+solvers keep it while the stepsize stays the same), and each call solves
+only the candidates, the coordinates that can have a nonzero minimizer.
+The safeguarded Newton solve starts at t = z, except at p = 1/2, where it
+starts at the closed-form root (half thresholding, Xu et al., IEEE TNNLS
+2012) clamped into the bracket; bisection, then the IEEE floor, then
+``ProxConvergenceError`` are its one fallback, and the returned root is
 the one that passes the kernel's own residual check.
 
 Inexactness is simulated with certificates: ``prox_inexact_value``
@@ -105,104 +109,161 @@ def lower_bound(v: float, lam, p: float):
     return (v * lam * p * (1.0 - p)) ** (1.0 / (2.0 - p))
 
 
-def _half_root(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+class _Prepared:
+    """The kernel's constants for one (v, lam, p), computed once.
+
+    c = v*lam*p, the bracket's lower end t_lb = lower_bound(v, lam, p) and
+    the candidate cut t_lb + c*t_lb^(p-1), which is r(t_lb) + a.  A
+    coordinate can have a nonzero minimizer only where t_lb < a and
+    cut <= a; that equals the test ~(r(t_lb) > 0) bit for bit, since
+    fl(X - a) > 0 iff X > a for finite doubles.  At p = 1/2 it also holds
+    ``_half_root``'s existence threshold and negated numerator, from c/p,
+    which is v*lam exactly there.
+    """
+
+    __slots__ = ("v", "lam", "p", "c", "t_lb", "cut", "half")
+
+    def __init__(self, v: float, lam: np.ndarray, p: float):
+        self.v, self.lam, self.p = v, lam, p
+        self.c = v * lam * p
+        self.t_lb = lower_bound(v, lam, p)
+        self.cut = self.t_lb + self.c * self.t_lb ** (p - 1.0)
+        self.half = None
+        if p == 0.5:
+            vlam = self.c / p
+            self.half = (3.0 * (vlam / 4.0) ** (2.0 / 3.0),
+                         -(3.0 * math.sqrt(3.0) * vlam))
+
+
+def _half_root(a: np.ndarray, threshold: np.ndarray, neg_num: np.ndarray):
     """Largest root of the p = 1/2 stationarity equation, 0 where none.
 
     With c = v*lam, substituting t = u^2 turns t + (c/2) t^(-1/2) = a into
     the depressed cubic u^3 - a u + c/2 = 0, whose largest root has the
-    trigonometric form below; the root exists iff a >= 3 * (c/4)^(2/3).
+    trigonometric form below; the root exists iff a >= threshold =
+    3 * (c/4)^(2/3), which is positive, so a = 0 has none.  neg_num is
+    -3*sqrt(3)*c; both come from ``_Prepared``.
     """
-    has = (a > 0.0) & (a >= 3.0 * (c / 4.0) ** (2.0 / 3.0))
+    has = a >= threshold
     a = np.where(has, a, 1.0)
-    arg = np.maximum(-1.0, -(3.0 * math.sqrt(3.0) * c) / (4.0 * a ** 1.5))
+    arg = np.maximum(-1.0, neg_num / (4.0 * a ** 1.5))
     u = 2.0 * np.sqrt(a / 3.0) * np.cos(np.arccos(arg) / 3.0)
     return np.where(has, u * u, 0.0)
 
 
-def _prox_abs(a: np.ndarray, v: float, lam: np.ndarray, p: float, root=None):
+def _stationary_root(a: np.ndarray, idx: np.ndarray, k: _Prepared):
+    """Root of r(t) = t + c*t^(p-1) - a in [t_lb, a] for the candidates idx.
+
+    r is convex and increasing on [t_lb, a], which brackets its one root
+    there.  Newton starts at a, or at p = 1/2 at the closed-form root
+    clamped into the bracket, where it usually passes the residual check
+    at once.  Each step keeps the bracket around the root, so convergence
+    rests on the bracket, not on a monotone Newton sequence: a step that
+    leaves it is replaced by bisection, which takes over after
+    NEWTON_MAX_ITERS.  A coordinate leaves the active set once converged,
+    so its result does not depend on the others.
+    """
+    p = k.p
+    c, lo = k.c[idx], k.t_lb[idx]
+    hi = t = a
+    if k.half is not None:
+        t = np.minimum(np.maximum(
+            _half_root(a, k.half[0][idx], k.half[1][idx]), lo), hi)
+
+    def r(t, a, c):
+        return t + c * t ** (p - 1.0) - a
+
+    root = np.empty_like(a)
+    act = np.arange(a.size)  # positions of the active candidates
+    rt = r(t, a, c)
+    tol = GPRIME_TOL * (k.v + 1.0)
+    for it in range(NEWTON_MAX_ITERS + BISECT_MAX_ITERS):
+        done = np.abs(rt) <= tol
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:
+            break
+        if n_done:
+            root[act[done]] = t[done]
+            act, a, c, lo, hi, t, rt = (
+                x[~done] for x in (act, a, c, lo, hi, t, rt))
+        up = rt > 0.0
+        hi = np.where(up, t, hi)
+        lo = np.where(up, lo, t)
+        mid = 0.5 * (lo + hi)
+        if it < NEWTON_MAX_ITERS:
+            drdt = 1.0 + c * (p - 1.0) * t ** (p - 2.0)
+            ok = drdt > 0.0
+            t_new = np.where(ok, t - rt / np.where(ok, drdt, 1.0), lo)
+            t = np.where((lo < t_new) & (t_new < hi), t_new, mid)
+        else:
+            # a bracket exhausted at machine resolution keeps its t
+            stuck = (mid == lo) | (mid == hi)
+            if np.count_nonzero(stuck) == stuck.size:
+                break
+            t = np.where(stuck, t, mid)
+        rt = r(t, a, c)
+    if np.count_nonzero(done) < done.size:
+        # IEEE floor: the residual cannot shrink below the rounding
+        # noise of its own evaluation; accept when the bracket is a
+        # single ulp wide.
+        scale = a + t + c * t ** (p - 1.0)
+        floor = np.abs(rt) <= np.maximum(tol, 8.0 * np.finfo(float).eps * scale)
+        if np.count_nonzero(floor) < floor.size:
+            j = (~floor).nonzero()[0][0]
+            raise ProxConvergenceError(
+                f"stationarity solve stalled at t={float(t[j])!r} "
+                f"with residual {float(rt[j])!r}"
+            )
+    root[act] = t
+    return root
+
+
+def _prox_abs(a: np.ndarray, k: _Prepared, root=None):
     """The prox kernel on magnitudes a = |z|, all coordinates at once.
 
-    Returns (t, value, tie): t is the magnitude of the nonzero minimizer (0
-    where 0 is the only one), value the minimum of g, and tie marks where 0
-    and t give the same value.  ``root`` (0 where none) replaces the solve.
-
-    r(t) = t + v*lam*p*t^(p-1) - a is convex and increasing on [t_lb, a],
-    which brackets its one root there.  Newton starts at a, or at p = 1/2 at
-    the closed-form root clamped into the bracket, where it usually passes
-    the residual check at once.  Each step keeps the bracket around the
-    root, so convergence rests on the bracket, not on a monotone Newton
-    sequence: a step that leaves it is replaced by bisection, which takes
-    over after NEWTON_MAX_ITERS.  A coordinate leaves the active set once
-    converged, so its result does not depend on the others.
+    Only the candidates idx, the coordinates that can have a nonzero
+    minimizer, are solved and compared with t = 0; every other coordinate
+    has t = 0, value a^2 / (2v) and no tie.  Returns (idx, t, tie, value):
+    on the candidates, t is the magnitude of the nonzero minimizer (0 where
+    0 is the only one) and tie marks where 0 and t give the same value;
+    value is the minimum of g on every coordinate.  ``root`` (0 where none)
+    replaces the solve.
     """
     if root is None:
-        root = np.zeros_like(a)
-        c = v * lam * p
-        t_lb = lower_bound(v, lam, p)
-
-        def r(t, a, c):
-            return t + c * t ** (p - 1.0) - a
-
-        # no stationary point with g'' >= 0 where r(t_lb) > 0
-        idx = np.flatnonzero((t_lb < a) & ~(r(t_lb, a, c) > 0.0))
-        a_, c_, lo = a[idx], c[idx], t_lb[idx]
-        hi = t = a_
-        if p == 0.5:
-            # c_ / p is v*lam exactly
-            t = np.minimum(np.maximum(_half_root(a_, c_ / p), lo), hi)
-        rt = r(t, a_, c_)
-        tol = GPRIME_TOL * (v + 1.0)
-        for k in range(NEWTON_MAX_ITERS + BISECT_MAX_ITERS):
-            done = np.abs(rt) <= tol
-            if done.all():
-                break
-            if done.any():
-                root[idx[done]] = t[done]
-                idx, a_, c_, lo, hi, t, rt = (
-                    x[~done] for x in (idx, a_, c_, lo, hi, t, rt))
-            up = rt > 0.0
-            hi = np.where(up, t, hi)
-            lo = np.where(up, lo, t)
-            mid = 0.5 * (lo + hi)
-            if k < NEWTON_MAX_ITERS:
-                drdt = 1.0 + c_ * (p - 1.0) * t ** (p - 2.0)
-                ok = drdt > 0.0
-                t_new = np.where(ok, t - rt / np.where(ok, drdt, 1.0), lo)
-                t = np.where((lo < t_new) & (t_new < hi), t_new, mid)
-            else:
-                # a bracket exhausted at machine resolution keeps its t
-                stuck = (mid == lo) | (mid == hi)
-                if stuck.all():
-                    break
-                t = np.where(stuck, t, mid)
-            rt = r(t, a_, c_)
-        if not done.all():
-            # IEEE floor: the residual cannot shrink below the rounding
-            # noise of its own evaluation; accept when the bracket is a
-            # single ulp wide.
-            scale = a_ + t + c_ * t ** (p - 1.0)
-            floor = np.abs(rt) <= np.maximum(tol, 8.0 * np.finfo(float).eps * scale)
-            if not floor.all():
-                j = np.flatnonzero(~floor)[0]
-                raise ProxConvergenceError(
-                    f"stationarity solve stalled at t={float(t[j])!r} "
-                    f"with residual {float(rt[j])!r}"
-                )
-        root[idx] = t
-    has = root > 0.0
-    g0 = a * a / (2.0 * v)
-    gt = lam * root ** p + (root - a) ** 2 / (2.0 * v)
-    tie = has & (np.abs(g0 - gt) <= TIE_TOL * (1.0 + np.abs(g0)))
-    win = has & (gt < g0)
-    value = np.where(tie, np.minimum(g0, gt), np.where(win, gt, g0))
-    return np.where(tie | win, root, 0.0), value, tie
+        idx = ((k.t_lb < a) & (k.cut <= a)).nonzero()[0]
+        a_ = a[idx]
+        root_ = _stationary_root(a_, idx, k)
+    else:
+        idx = (root > 0.0).nonzero()[0]
+        a_, root_ = a[idx], root[idx]
+    # a candidate's root is at least t_lb > 0, and g0 >= 0 is its own |g0|
+    value = a * a / (2.0 * k.v)
+    g0 = value[idx]
+    gt = k.lam[idx] * root_ ** k.p + (root_ - a_) ** 2 / (2.0 * k.v)
+    tie = np.abs(g0 - gt) <= TIE_TOL * (1.0 + g0)
+    win = gt < g0
+    value[idx] = np.where(win, gt, g0)
+    return idx, np.where(tie | win, root_, 0.0), tie, value
 
 
-def _one_coordinate(q: ProxQuery, root=None) -> ProxResult:
-    """The kernel on the single coordinate of q, as a ProxResult."""
-    t, value, tie = _prox_abs(np.array([abs(q.z)]), q.v, np.array([q.lam]),
-                              q.p, root)
-    t, value = float(t[0]), float(value[0])
+def _selection(t: np.ndarray, tie: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The signed minimizer that the vector prox selects: 0 at a tie."""
+    return np.where(tie | (t == 0.0), 0.0, np.copysign(t, z))
+
+
+def _one_coordinate(q: ProxQuery, half: bool = False) -> ProxResult:
+    """The kernel on the single coordinate of q, as a ProxResult.
+
+    With ``half`` the root is the closed form of ``_half_root`` (p = 1/2).
+    """
+    a = np.array([abs(q.z)])
+    k = _Prepared(q.v, np.array([q.lam]), q.p)
+    root = _half_root(a, *k.half) if half else None
+    idx, t, tie, value = _prox_abs(a, k, root)
+    value = float(value[0])
+    if idx.size == 0:
+        return ProxResult((0.0,), value, tie=False)
+    t = float(t[0])
     if tie[0]:
         return ProxResult((0.0, math.copysign(t, q.z)), value, tie=True)
     if t > 0.0:
@@ -222,8 +283,7 @@ def prox_scalar_half(z: float, v: float, lam: float) -> ProxResult:
     no stationarity solve; the value tie against 0 happens exactly at
     |z| = (3/2) * (v*lam)^(2/3).
     """
-    q = ProxQuery(z=z, v=v, lam=lam, p=0.5)
-    return _one_coordinate(q, _half_root(np.array([abs(q.z)]), v * lam))
+    return _one_coordinate(ProxQuery(z=z, v=v, lam=lam, p=0.5), half=True)
 
 
 def prox_vector(z, v: float, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
@@ -236,12 +296,19 @@ def prox_vector(z, v: float, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (prob.n,):
         raise ValidationError(f"z has shape {z.shape}, expected ({prob.n},)")
-    if not np.isfinite(z).all():
-        raise ValidationError("z must be finite")
     if not (v > 0 and math.isfinite(v)):
         raise ValidationError(f"v must be positive, got {v}")
-    t, value, tie = _prox_abs(np.abs(z), v, prob.lambda_vec, prob.p)
-    return np.where(tie | (t == 0.0), 0.0, np.copysign(t, z)), value
+    return _prox_select(z, _Prepared(v, prob.lambda_vec, prob.p))
+
+
+def _prox_select(z: np.ndarray, k: _Prepared):
+    """``prox_vector`` of a checked-shape z with constants prepared for its v."""
+    if np.count_nonzero(np.isfinite(z)) < z.size:
+        raise ValidationError("z must be finite")
+    idx, t, tie, value = _prox_abs(np.abs(z), k)
+    y = np.zeros(z.size)
+    y[idx] = _selection(t, tie, z[idx])
+    return y, value
 
 
 def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
@@ -269,16 +336,19 @@ def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
     if not (0.0 <= knob <= 1.0):
         raise ValidationError(f"knob must lie in [0, 1], got {knob}")
     delta = y_star - x
-    move = (delta != 0.0) & (y_star != 0.0)
-    s = np.minimum(math.sqrt(2.0 * v * knob * tau) * np.abs(delta),
-                   0.5 * np.abs(y_star))
-    y = np.where(move, y_star + np.copysign(s, delta), y_star)
-    g = prob.lambda_vec * np.abs(y) ** prob.p + (y - z) ** 2 / (2.0 * v)
-    gaps = np.where(move, np.maximum(g - value, 0.0), 0.0)
-    fallback = ~(gaps <= tau * (y - x) ** 2)  # a NaN gap falls back too
-    y = np.where(fallback, y_star, y)
-    gaps[fallback] = 0.0
-    return y, gaps, tau * (y - x) ** 2
+    i = ((delta != 0.0) & (y_star != 0.0)).nonzero()[0]  # moving
+    d, ys = delta[i], y_star[i]
+    s = np.minimum(math.sqrt(2.0 * v * knob * tau) * np.abs(d), 0.5 * np.abs(ys))
+    y = ys + np.copysign(s, d)
+    g = prob.lambda_vec[i] * np.abs(y) ** prob.p + (y - z[i]) ** 2 / (2.0 * v)
+    gap = np.maximum(g - value[i], 0.0)
+    fallback = ~(gap <= tau * (y - x[i]) ** 2)  # a NaN gap falls back too
+    y[fallback] = ys[fallback]
+    gap[fallback] = 0.0
+    out, gaps = y_star.copy(), np.zeros_like(y_star)
+    out[i] = y
+    gaps[i] = gap
+    return out, gaps, tau * (out - x) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,12 @@ perturbation per coordinate at every iteration:
   selection is 0 are left unperturbed.
 
 All three share one loop: the exact prox of the whole vector is computed
-once per iteration by ``prox_vector``, and the inexact variants perturb it.
-Each iterate makes one product A x and one A^T r: the residual
-r = A x - b gives F, the residual on the support and the next gradient
-step.
+once per iteration, as ``prox_vector`` computes it, and the inexact
+variants perturb it on the coordinates that move.  The loop prepares the
+prox kernel's constants once per stepsize, so a constant-stepsize run
+prepares them once.  Each iterate makes one product A x and one A^T r:
+the residual r = A x - b gives F, the residual on the support and the
+next gradient step.
 
 With a zero inexactness schedule both variants reproduce ``run_pga``
 bit-for-bit.  Traces are bit-reproducible: the solver loop is single
@@ -53,7 +55,7 @@ from .problem import (
     spectral_norm_sq,
     spectral_upper_bound,
 )
-from .prox import prox_inexact_value, prox_vector
+from .prox import _Prepared, _prox_select, prox_inexact_value
 
 __all__ = [
     "Schedule",
@@ -209,16 +211,19 @@ def _evaluate(prob: Problem, x: np.ndarray):
     """F(x), the smooth gradient, supp(x) and the residual on it, from one r.
 
     r = A x - b is formed once; F, the gradient 2 A^T r and the residual
-    use the same expressions as ``objective`` and ``gradient_smooth``.
+    use the same expressions as ``objective`` and ``gradient_smooth``, and
+    the penalty and the residual run on the support only.
     """
     r = prob.A @ x - prob.b
     grad = _gradient_at(prob, r)
-    idx = np.flatnonzero(x)
+    idx = x.nonzero()[0]
     xi = x[idx]
+    ax = np.abs(xi)
     lam = prob.lambda_vec[idx]
-    w = grad[idx] + lam * prob.p * np.abs(xi) ** (prob.p - 1.0) * np.sign(xi)
-    return (_objective_at(prob, x, r), grad, tuple(idx.tolist()),
-            float(np.linalg.norm(w)))
+    w = grad[idx] + lam * prob.p * ax ** (prob.p - 1.0) * np.sign(xi)
+    # math.sqrt(w.dot(w)) is numpy's own definition of norm(w) for real 1-D w
+    return (_objective_at(prob, r, lam, ax), grad, tuple(idx.tolist()),
+            math.sqrt(w.dot(w)))
 
 
 def residual_on_support(prob: Problem, x) -> tuple[float, tuple[int, ...]]:
@@ -237,11 +242,12 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
     """The solver loop shared by all three methods.
 
     Each iterate is evaluated once (``_evaluate``) for the trace and the
-    gradient step z.  The loop computes the exact prox of z with
-    ``prox_vector`` and passes it to ``perturb(k, x, z, v, y_star,
-    value)``, which returns the next iterate, the step's eps and the
-    per-coordinate certificates and bounds.  Without ``perturb`` the exact
-    prox is the next iterate.
+    gradient step z.  The loop computes the exact prox of z, as
+    ``prox_vector`` does, from kernel constants prepared for the current
+    stepsize and rebuilt only when it changes, and passes it to
+    ``perturb(k, x, z, v, y_star, value)``, which returns the next iterate,
+    the step's eps and the per-coordinate certificates and bounds.  Without
+    ``perturb`` the exact prox is the next iterate.
     """
     config.validate(prob)
     if x0 is None:
@@ -261,6 +267,7 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         coord_certified=[] if keep_coords else None,
         coord_bounds=[] if keep_coords else None)
     converged = False
+    kernel = None
     for k in range(config.max_iters + 1):
         f, grad, support, resid = _evaluate(prob, x)
         trace.f_values.append(f)
@@ -272,13 +279,16 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         if converged or k == config.max_iters:
             break
         v = config.stepsize(k)
+        if kernel is None or kernel.v != v:
+            kernel = _Prepared(v, prob.lambda_vec, prob.p)
         z = x - v * grad
-        y_star, value = prox_vector(z, v, prob)
+        y_star, value = _prox_select(z, kernel)
         if perturb is None:
             x_new, eps, certified, bounds = y_star, 0.0, None, None
         else:
             x_new, eps, certified, bounds = perturb(k, x, z, v, y_star, value)
-        step_norm = float(np.linalg.norm(x_new - x))
+        step = x_new - x
+        step_norm = math.sqrt(step.dot(step))
         if step_norm == 0.0:
             # exact fixed point: recording the duplicate iterate adds nothing
             converged = True
@@ -363,12 +373,17 @@ def run_ipga_2p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
     def perturb(k, x, z, v, y_star, value):
         t_k = t_sched.value(k)
         delta = y_star - x
-        move = (delta != 0.0) & (y_star != 0.0)
-        s = config.knob * t_k * np.abs(delta) / (1.0 - t_k)
-        x_new = np.where(move, y_star + np.copysign(s, delta), y_star)
-        dists = np.where(move, np.abs(x_new - y_star), 0.0)
-        bounds = np.where(move, t_k * np.abs(x_new - x), 0.0)
-        return x_new, math.sqrt(math.fsum((dists * dists).tolist())), dists, bounds
+        i = ((delta != 0.0) & (y_star != 0.0)).nonzero()[0]  # moving
+        d, ys = delta[i], y_star[i]
+        s = config.knob * t_k * np.abs(d) / (1.0 - t_k)
+        y = ys + np.copysign(s, d)
+        x_new = y_star.copy()
+        x_new[i] = y
+        dist = np.abs(y - ys)
+        dists, bounds = np.zeros_like(x), np.zeros_like(x)
+        dists[i] = dist
+        bounds[i] = t_k * np.abs(y - x[i])
+        return x_new, math.sqrt(math.fsum((dist * dist).tolist())), dists, bounds
 
     return _iterate(prob, config, x0, "ipga2p", "dist", perturb)
 

@@ -18,7 +18,7 @@ from lpreg import (
 from lpreg.analysis import estimate_beta, fit_series
 from lpreg.errors import ValidationError
 from lpreg.experiments import reference_solution
-from lpreg.problem import SPECTRAL_TOL
+from lpreg.problem import SPECTRAL_TOL, spectral_upper_bound
 from lpreg.solvers import IterationTrace, Schedule, SolverConfig
 
 
@@ -115,6 +115,23 @@ def test_estimate_beta_floor_without_iterates(small_instance):
     trace = _fake_trace([1.0, 0.9], [0.1])
     beta = estimate_beta(prob, trace, v_lo=0.07)
     assert beta > 1.0 / 0.07
+
+
+def test_estimate_beta_is_the_minimum_over_the_tail(small_instance):
+    # reference: the per-iterate loop, minimum over each tail iterate's
+    # nonzero magnitudes; a tail of zeros falls back to the floor
+    prob, _ = small_instance
+    v = default_stepsize(prob)
+    trace = run_pga(prob, SolverConfig(v=v))
+    min_mag = min(float(np.abs(x[x != 0.0]).min())
+                  for x in trace.iterates[len(trace.iterates) // 2:] if x.any())
+    expected = (1.0 / v + 2.0 * spectral_upper_bound(spectral_norm_sq(prob))
+                + float(prob.lambda_vec.max()) * prob.p * (1.0 - prob.p)
+                * min_mag ** (prob.p - 2.0))
+    assert estimate_beta(prob, trace, v) == expected
+    floor = estimate_beta(prob, _fake_trace([1.0, 0.9], [0.1]), v)
+    trace.iterates = [np.zeros(prob.n)] * 3
+    assert estimate_beta(prob, trace, v) == floor
 
 
 def test_estimate_beta_tiny_tail_magnitude_raises_validation_error():

@@ -87,6 +87,8 @@ def test_prox_table_bad_parameter_exits_1(tmp_path, flag, value):
     ("certify", "--beta", "abc"),
     ("certify-point", "--point", "abc"),
     ("certify-point", "--point", '["a"]'),
+    *(("certify", flag, value) for flag in ("--alpha", "--beta")
+      for value in ("-1", "0", "nan", "inf")),
 ])
 def test_certify_bad_parameter_exits_1(tmp_path, capsys, command, flag, value):
     out = str(tmp_path)

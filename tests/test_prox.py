@@ -15,8 +15,8 @@ from lpreg import (
     prox_vector,
 )
 from lpreg.errors import ValidationError
-from lpreg.experiments import ARGMIN_TOL, VALUE_TOL
-from lpreg.prox import GPRIME_TOL, TIE_TOL
+from lpreg.experiments import ARGMIN_TOL, MAGNITUDE_SLACK, VALUE_TOL
+from lpreg.prox import GPRIME_TOL, TIE_TOL, _Prepared
 
 from conftest import scalar_newton_oracle
 
@@ -179,7 +179,7 @@ def test_prox_vector_weighted():
     assert out[1] == 0.0  # heavy weight thresholds the coordinate away
 
 
-@pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 0.3, 0.7])
 def test_prox_vector_matches_oracle_and_scalar(p):
     # one batch with its own lambda per coordinate; for p = 1/2 the first
     # six coordinates sit at the tie point z = 1.5 (v lam)^(2/3)
@@ -189,6 +189,14 @@ def test_prox_vector_matches_oracle_and_scalar(p):
     z = rng.uniform(-20.0, 20.0, size=n)
     if p == 0.5:
         z[:6] = np.array([1, -1] * 3) * 1.5 * (v * lam[:6]) ** (2.0 / 3.0)
+    # then the kernel's boundaries on the first four weights, either sign:
+    # the candidate cut, one ulp below it, t_lb, the p = 1/2 tie point, 0
+    k = _Prepared(v, lam[:4], p)
+    edges = (k.cut, np.nextafter(k.cut, 0.0), k.t_lb,
+             1.5 * (v * lam[:4]) ** (2.0 / 3.0), np.zeros(4))
+    z = np.concatenate([z] + [sign * e for e in edges for sign in (1.0, -1.0)])
+    lam = np.concatenate([lam] + [lam[:4]] * 2 * len(edges))
+    n = z.size
     prob = Problem(A=np.ones((1, n)), b=np.zeros(1), lam=1.0, p=p, weights=lam)
     sel, value = prox_vector(z, v, prob)
     scalar = [prox_scalar(ProxQuery(z=float(zi), v=v, lam=float(li), p=p))
@@ -204,6 +212,7 @@ def test_prox_vector_matches_oracle_and_scalar(p):
         best = min(oracle.minimizers, key=lambda m: abs(m - sel[i]))
         assert abs(sel[i] - best) <= ARGMIN_TOL
         assert abs(value[i] - oracle.value) <= VALUE_TOL * (1.0 + abs(oracle.value))
+        assert sel[i] == 0.0 or abs(sel[i]) >= lower_bound(v, lam[i], p) - MAGNITUDE_SLACK
 
 
 def test_prox_vector_validation():

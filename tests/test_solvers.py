@@ -159,6 +159,45 @@ def _exact_prox_steps(prob, trace):
         yield k, v, x, y_star, trace.iterates[k + 1]
 
 
+@pytest.mark.parametrize("run", [run_pga, run_ipga_2p])
+@pytest.mark.parametrize("p, lam, weighted", [(0.5, 0.1, False), (0.3, 0.01, True)])
+def test_stepsize_sequence_rebuilds_the_prox_constants(small_instance, monkeypatch,
+                                                        run, p, lam, weighted):
+    # three distinct stepsizes: the loop prepares the kernel once for each,
+    # and every step's exact prox equals prox_vector of its gradient step
+    prob, planted = small_instance
+    weights = np.linspace(0.5, 2.0, prob.n) if weighted else None
+    prob = dataclasses.replace(prob, p=p, lam=lam, weights=weights)
+    v = default_stepsize(prob)
+    cfg = SolverConfig(v=(0.5 * v, 0.8 * v, v), max_iters=40,
+                       inexact=Schedule.geometric(0.3, 0.7))
+    built, calls = [], []
+    prepare, select = solvers._Prepared, solvers._prox_select
+
+    def counting_prepare(v, lam, p):
+        built.append(v)
+        return prepare(v, lam, p)
+
+    def recording_select(z, kernel):
+        y_star, value = select(z, kernel)
+        calls.append((z, kernel.v, y_star))
+        return y_star, value
+
+    monkeypatch.setattr(solvers, "_Prepared", counting_prepare)
+    monkeypatch.setattr(solvers, "_prox_select", recording_select)
+    trace = run(prob, cfg, x0=planted)
+    assert built == list(cfg.v)
+    assert trace.stepsizes == [cfg.stepsize(k) for k in range(len(trace.stepsizes))]
+    assert len(calls) >= len(trace.step_norms) > 3
+    for k, (z, v_k, y_star) in enumerate(calls[:len(trace.step_norms)]):
+        x = trace.iterates[k]
+        assert v_k == cfg.stepsize(k)
+        assert z.tobytes() == (x - v_k * gradient_smooth(prob, x)).tobytes()
+        assert y_star.tobytes() == prox_vector(z, v_k, prob)[0].tobytes(), k
+        if run is run_pga:
+            assert y_star.tobytes() == trace.iterates[k + 1].tobytes()
+
+
 def test_ipga1p_shift_stays_within_its_closed_form(small_instance):
     prob, _ = small_instance
     tau = Schedule.geometric(0.1, 0.5)
