@@ -42,6 +42,7 @@ class RunManifest:
     input_hashes: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     wall_clock_s: float = 0.0
+    stats: dict | None = None  # the solver's work counts (solve only)
 
     def write(self, out_dir: Path) -> Path:
         self.versions = {
@@ -50,7 +51,10 @@ class RunManifest:
             "python": platform.python_version(),
         }
         path = out_dir / f"{self.command}-manifest.json"
-        _json_dump(path, asdict(self))
+        data = asdict(self)
+        if self.stats is None:
+            del data["stats"]
+        _json_dump(path, data)
         return path
 
 
@@ -73,18 +77,21 @@ def _load_problem_with_overrides(args) -> problem.Problem:
     return replace(prob, **overrides) if overrides else prob
 
 
-def _auto_or_positive(text: str):
-    """A flag value that is 'auto' or a positive finite number."""
-    if text == "auto":
-        return text
+def _positive(text: str) -> float:
+    """A flag value that is a positive finite number."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not (0.0 < value < math.inf):
         raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive finite number, got {text!r}")
+            f"expected a positive finite number, got {text!r}")
     return value
+
+
+def _auto_or_positive(text: str):
+    """A flag value that is 'auto' or a positive finite number."""
+    return text if text == "auto" else _positive(text)
 
 
 def _positive_int(text: str) -> int:
@@ -108,8 +115,9 @@ def _json_point(text: str) -> np.ndarray:
 
 
 def _json_dump(path: Path, data) -> None:
+    # one write of the whole text; json.dump writes every piece it encodes
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(data, indent=2, sort_keys=True))
         fh.write("\n")
 
 
@@ -163,6 +171,8 @@ def cmd_solve(args) -> tuple[int, dict | None]:
         seed=None,
         input_hashes={args.problem: _hash_file(args.problem)},
         outputs=[str(trace_path)],
+        stats={"full_products": trace.full_products,
+               "mean_working_set": trace.mean_working_set},
     )
 
 
@@ -392,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--problem", required=True)
     c.add_argument("--alpha", type=_auto_or_positive, default="auto")
     c.add_argument("--beta", type=_auto_or_positive, default="auto")
-    c.add_argument("--v", type=float, default=None,
+    c.add_argument("--v", type=_positive, default=None,
                    help="stepsize used by the traced run (default rule if omitted)")
     c.add_argument("--eps-from-trace", action="store_true",
                    help="use the trace's eps_k column as the eps^2 sequence "

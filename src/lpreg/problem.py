@@ -133,21 +133,40 @@ def _objective_at(prob: Problem, r: np.ndarray, lam: np.ndarray,
             + math.fsum((lam * ax ** prob.p).tolist()))
 
 
-def _gradient_at(prob: Problem, r: np.ndarray) -> np.ndarray:
-    """2 A^T r, the smooth gradient given the residual r = A x - b."""
-    return 2.0 * (prob.A.T @ r)
+# The matrix-vector products below are ``np.vecdot`` over C-ordered rows:
+# each entry is one dot product of two contiguous vectors and depends on
+# those vectors alone.  A BLAS gemv rounds an entry differently depending on
+# the column's position in the matrix, and a strided row takes another BLAS
+# path, so the solvers, which keep only a working set of columns, would
+# disagree with ``objective`` and ``gradient_smooth`` in the last bits.
+
+def _columns(A: np.ndarray, idx=slice(None)) -> np.ndarray:
+    """The columns idx of A as the rows of a C-ordered array."""
+    return np.ascontiguousarray(A[:, idx].T)
+
+
+def _residual(prob: Problem, x: np.ndarray):
+    """supp(x) and r = A x - b, each entry of A x a dot product over supp(x)."""
+    idx = x.nonzero()[0]
+    return idx, np.vecdot(np.ascontiguousarray(prob.A[:, idx]), x[idx]) - prob.b
+
+
+def _gradient_at(cols: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """2 A^T r on the columns of A held as the rows of ``cols``."""
+    return 2.0 * np.vecdot(cols, r)
 
 
 def objective(prob: Problem, x) -> float:
     """F(x) = ||Ax-b||^2 + sum_i lambda_i |x_i|^p, compensated summation."""
     x = _check_x(prob, x)
-    return _objective_at(prob, prob.A @ x - prob.b, prob.lambda_vec, np.abs(x))
+    idx, r = _residual(prob, x)
+    return _objective_at(prob, r, prob.lambda_vec[idx], np.abs(x[idx]))
 
 
 def gradient_smooth(prob: Problem, x) -> np.ndarray:
     """Gradient of the smooth part: 2 A^T (A x - b)."""
-    x = _check_x(prob, x)
-    return _gradient_at(prob, prob.A @ x - prob.b)
+    _, r = _residual(prob, _check_x(prob, x))
+    return _gradient_at(_columns(prob.A), r)
 
 
 def spectral_norm_sq(prob: Problem) -> float:
@@ -279,8 +298,10 @@ def save_problem(path, prob: Problem) -> None:
     }
     if prob.weights is not None:
         data["weights"] = prob.weights.tolist()
+    # json.dumps runs the C encoder on the whole object; json.dump streams
+    # through the pure-Python one.  Both write the same bytes.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=None, separators=(",", ":"), sort_keys=True)
+        fh.write(json.dumps(data, indent=None, separators=(",", ":"), sort_keys=True))
         fh.write("\n")
 
 

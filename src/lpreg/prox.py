@@ -24,8 +24,9 @@ One array kernel solves for all coordinates of a vector at once.
 ``prox_vector`` calls it once per vector, ``prox_scalar`` on one
 coordinate, and ``prox_scalar_half`` with the closed-form root for p = 1/2.
 What depends only on (v, lambda, p) is prepared once (``_Prepared``; the
-solvers keep it while the stepsize stays the same), and each call solves
-only the candidates, the coordinates that can have a nonzero minimizer.
+solvers keep it while the stepsize stays the same and restrict it to their
+working set of coordinates), and each call solves only the candidates, the
+coordinates that can have a nonzero minimizer.
 The safeguarded Newton solve starts at t = z, except at p = 1/2, where it
 starts at the closed-form root (half thresholding, Xu et al., IEEE TNNLS
 2012) clamped into the bracket; bisection, then the IEEE floor, then
@@ -118,13 +119,14 @@ class _Prepared:
     cut <= a; that equals the test ~(r(t_lb) > 0) bit for bit, since
     fl(X - a) > 0 iff X > a for finite doubles.  At p = 1/2 it also holds
     ``_half_root``'s existence threshold and negated numerator, from c/p,
-    which is v*lam exactly there.
+    which is v*lam exactly there.  ``restrict`` gives the constants of a
+    subset ``cols`` of the coordinates, which it records (None: all).
     """
 
-    __slots__ = ("v", "lam", "p", "c", "t_lb", "cut", "half")
+    __slots__ = ("v", "lam", "p", "c", "t_lb", "cut", "half", "cols")
 
     def __init__(self, v: float, lam: np.ndarray, p: float):
-        self.v, self.lam, self.p = v, lam, p
+        self.v, self.lam, self.p, self.cols = v, lam, p, None
         self.c = v * lam * p
         self.t_lb = lower_bound(v, lam, p)
         self.cut = self.t_lb + self.c * self.t_lb ** (p - 1.0)
@@ -133,6 +135,15 @@ class _Prepared:
             vlam = self.c / p
             self.half = (3.0 * (vlam / 4.0) ** (2.0 / 3.0),
                          -(3.0 * math.sqrt(3.0) * vlam))
+
+    def restrict(self, cols: np.ndarray) -> "_Prepared":
+        """The same constants on the coordinates ``cols`` only."""
+        k = object.__new__(_Prepared)
+        k.v, k.p, k.cols = self.v, self.p, cols
+        k.lam, k.c, k.t_lb, k.cut = (
+            a[cols] for a in (self.lam, self.c, self.t_lb, self.cut))
+        k.half = None if self.half is None else tuple(a[cols] for a in self.half)
+        return k
 
 
 def _half_root(a: np.ndarray, threshold: np.ndarray, neg_num: np.ndarray):
@@ -312,7 +323,7 @@ def _prox_select(z: np.ndarray, k: _Prepared):
 
 
 def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
-                       tau: float, knob: float = 0.9):
+                       tau: float, knob: float = 0.9, cols=None):
     """Value-type perturbation of the exact prox ``(y_star, value)`` of z.
 
     Coordinate i may return any y_i whose scalar prox objective g_i lies
@@ -329,7 +340,8 @@ def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
 
     The certificate is the gap recomputed against ``value``.  A coordinate
     whose recomputed gap exceeds its bound falls back to y*_i with gap 0.
-    Returns the point, the per-coordinate gaps and their bounds.
+    Returns the point, the per-coordinate gaps and their bounds.  With
+    ``cols`` the vectors hold only those coordinates of the problem.
     """
     if not (tau >= 0.0 and math.isfinite(tau)):
         raise ValidationError(f"tau must be nonnegative, got {tau}")
@@ -340,7 +352,8 @@ def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
     d, ys = delta[i], y_star[i]
     s = np.minimum(math.sqrt(2.0 * v * knob * tau) * np.abs(d), 0.5 * np.abs(ys))
     y = ys + np.copysign(s, d)
-    g = prob.lambda_vec[i] * np.abs(y) ** prob.p + (y - z[i]) ** 2 / (2.0 * v)
+    lam = prob.lambda_vec[i if cols is None else cols[i]]
+    g = lam * np.abs(y) ** prob.p + (y - z[i]) ** 2 / (2.0 * v)
     gap = np.maximum(g - value[i], 0.0)
     fallback = ~(gap <= tau * (y - x[i]) ** 2)  # a NaN gap falls back too
     y[fallback] = ys[fallback]

@@ -25,13 +25,43 @@ perturbation per coordinate at every iteration:
   x_i, meets the bound with equality at knob = 1.  Coordinates whose exact
   selection is 0 are left unperturbed.
 
-All three share one loop: the exact prox of the whole vector is computed
-once per iteration, as ``prox_vector`` computes it, and the inexact
-variants perturb it on the coordinates that move.  The loop prepares the
-prox kernel's constants once per stepsize, so a constant-stepsize run
-prepares them once.  Each iterate makes one product A x and one A^T r:
-the residual r = A x - b gives F, the residual on the support and the
-next gradient step.
+All three share one loop: the exact prox is computed once per iteration,
+as ``prox_vector`` computes it, and the inexact variants perturb it on the
+coordinates that move.  The loop prepares the prox kernel's constants once
+per stepsize, so a constant-stepsize run prepares them once.
+
+Each iterate runs on a working set J of columns that contains supp(x).  A
+nonzero prox output needs a candidate, a coordinate with |z_j| >= cut_j
+(``prox._Prepared``), and off the support z_j = -v g_j.  At a full product
+g = 2 A^T r_ref the loop keeps r_ref, and column j gets the radius
+
+    s_j = (cut_j / v - |g_j|) / (2 ||a_j||),
+
+less a rounding margin: since |g_j(r) - g_j(r_ref)| <= 2 ||a_j|| ||r -
+r_ref||, column j cannot become a candidate while the residual stays
+within s_j of r_ref.  J is supp(x) and the current candidates, doubled
+with the columns of smallest radius, and rho is the smallest radius left
+out.  Doubling keeps the iterate's work within twice what the support
+needs and leaves a drift budget for the columns next in line.  While
+||r - r_ref|| <= rho, every column outside J has prox output exactly 0, so
+the forward product, the gradient, the kernel, the perturbations and F
+run on the m x |J| columns; when the drift passes rho or the stepsize
+changes, one full product A^T r starts a new reference.  J may be every
+column, and then rho is infinite.
+
+The margin covers rounding.  A dot product of m terms is exact up to
+gamma_m ||a_j|| ||r|| with gamma_m = m u / (1 - m u), u = eps / 2, so a
+computed g_j(r) stays below |g_j(r_ref)| + 2 ||a_j|| ((1 + gamma_m) d + 2
+gamma_m ||r_ref||) at drift d.  The radius subtracts 2 gamma ||r_ref||,
+divides by 1 + gamma and scales cut_j / v by 1 - 4 eps, with gamma = (m +
+4) eps, a little over twice gamma_m: the surplus covers the rounding of
+the radius, of ||a_j||, of the drift and of z_j = -v g_j themselves.
+
+Every product is ``np.vecdot`` over contiguous rows (``problem._residual``
+and ``problem._gradient_at``), one dot product per entry, so an entry does
+not depend on which other columns take part: iterates, F, residuals and
+certificates equal those of the same loop run on all n columns, bit for
+bit, and ``objective`` and ``residual_on_support`` reproduce the trace.
 
 With a zero inexactness schedule both variants reproduce ``run_pga``
 bit-for-bit.  Traces are bit-reproducible: the solver loop is single
@@ -50,8 +80,10 @@ from .errors import StepsizeError, ValidationError
 from .problem import (
     Problem,
     _check_x,
+    _columns,
     _gradient_at,
     _objective_at,
+    _residual,
     spectral_norm_sq,
     spectral_upper_bound,
 )
@@ -72,6 +104,7 @@ __all__ = [
 ]
 
 STORE_ITERATES_MAX_N = 10**4
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -170,6 +203,9 @@ class IterationTrace:
     by step k: the summed value gaps for run_ipga_1p, the Euclidean norm of
     the per-coordinate distances for run_ipga_2p, 0 for run_pga.
     ``iterates`` is stored when n <= STORE_ITERATES_MAX_N.
+    ``working_set_sizes`` has |J| per iterate and ``refreshes`` the iterates
+    that made a full product A^T r; ``full_products`` and
+    ``mean_working_set`` sum them up.
     """
 
     algo: str
@@ -185,9 +221,20 @@ class IterationTrace:
     eps_kind: str = "none"
     coord_certified: list[np.ndarray] | None = None
     coord_bounds: list[np.ndarray] | None = None
+    working_set_sizes: list[int] | None = None
+    refreshes: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.f_values)
+
+    @property
+    def full_products(self) -> int | None:
+        return None if self.refreshes is None else len(self.refreshes)
+
+    @property
+    def mean_working_set(self) -> float | None:
+        sizes = self.working_set_sizes
+        return None if not sizes else sum(sizes) / len(sizes)
 
     @property
     def final_iterate(self) -> np.ndarray:
@@ -207,23 +254,17 @@ class IterationTrace:
         return rows
 
 
-def _evaluate(prob: Problem, x: np.ndarray):
-    """F(x), the smooth gradient, supp(x) and the residual on it, from one r.
+def _evaluate(prob: Problem, r, grad, xs, lam):
+    """F(x) and the residual on supp(x), from r = A x - b, the smooth
+    gradient ``grad``, x and the weights ``lam`` on the support."""
+    ax = np.abs(xs)
+    w = grad + lam * prob.p * ax ** (prob.p - 1.0) * np.sign(xs)
+    return _objective_at(prob, r, lam, ax), _norm(w)
 
-    r = A x - b is formed once; F, the gradient 2 A^T r and the residual
-    use the same expressions as ``objective`` and ``gradient_smooth``, and
-    the penalty and the residual run on the support only.
-    """
-    r = prob.A @ x - prob.b
-    grad = _gradient_at(prob, r)
-    idx = x.nonzero()[0]
-    xi = x[idx]
-    ax = np.abs(xi)
-    lam = prob.lambda_vec[idx]
-    w = grad[idx] + lam * prob.p * ax ** (prob.p - 1.0) * np.sign(xi)
-    # math.sqrt(w.dot(w)) is numpy's own definition of norm(w) for real 1-D w
-    return (_objective_at(prob, r, lam, ax), grad, tuple(idx.tolist()),
-            math.sqrt(w.dot(w)))
+
+def _norm(w: np.ndarray) -> float:
+    """||w||: math.sqrt(w.dot(w)) is numpy's own norm of a real 1-D w."""
+    return math.sqrt(w.dot(w))
 
 
 def residual_on_support(prob: Problem, x) -> tuple[float, tuple[int, ...]]:
@@ -234,61 +275,126 @@ def residual_on_support(prob: Problem, x) -> tuple[float, tuple[int, ...]]:
     subgradient can always be chosen 0.  On the support the subgradient is
     unique: (2 A^T (A x - b))_i + lambda_i p |x_i|^{p-1} sign(x_i).
     """
-    _, _, support, resid = _evaluate(prob, _check_x(prob, x))
-    return resid, support
+    x = _check_x(prob, x)
+    idx, r = _residual(prob, x)
+    grad = _gradient_at(_columns(prob.A, idx), r)
+    _, resid = _evaluate(prob, r, grad, x[idx], prob.lambda_vec[idx])
+    return resid, tuple(idx.tolist())
+
+
+def _radii(kernel, g, col_norm, r_norm, gamma):
+    """Each column's drift radius s_j at the full gradient g = 2 A^T r_ref,
+    rounding margin included (module docstring); ``r_norm`` is ||r_ref||.
+
+    s_j <= 0 marks a column that is a candidate now; a zero column never
+    moves, and its radius is infinite.
+    """
+    with np.errstate(divide="ignore"):
+        s = ((kernel.cut / kernel.v) * (1.0 - 4.0 * EPS) - np.abs(g)) / (2.0 * col_norm)
+    return (s - 2.0 * gamma * r_norm) / (1.0 + gamma)
+
+
+def _working_set(s, support):
+    """The working set J for the radii s, and rho.
+
+    J holds ``support`` and the columns with s_j <= 0, which must be
+    computed now, and as many again of the smallest s_j; rho is the
+    smallest s_j left out (infinite when J is every column).
+    """
+    s[support] = -np.inf
+    size = min(s.size, 2 * np.count_nonzero(s <= 0.0))
+    if size == s.size:
+        return np.arange(s.size), math.inf
+    part = np.argpartition(s, size)
+    return np.sort(part[:size]), float(s[part[size]])
 
 
 def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
     """The solver loop shared by all three methods.
 
-    Each iterate is evaluated once (``_evaluate``) for the trace and the
-    gradient step z.  The loop computes the exact prox of z, as
-    ``prox_vector`` does, from kernel constants prepared for the current
-    stepsize and rebuilt only when it changes, and passes it to
-    ``perturb(k, x, z, v, y_star, value)``, which returns the next iterate,
-    the step's eps and the per-coordinate certificates and bounds.  Without
-    ``perturb`` the exact prox is the next iterate.
+    Each iterate holds x, the gradient and the prox on the working set J
+    only (module docstring); a full product A^T r refreshes J when the
+    residual drifts past rho from the reference or the stepsize changes,
+    and the kernel constants are prepared once per stepsize.
+    ``perturb(k, x, z, kernel, y_star, value)`` gets the vectors on J and
+    the kernel restricted to J (``kernel.cols``), and returns the next
+    iterate, the step's eps and the per-coordinate certificates and bounds
+    on J.  Without ``perturb`` the exact prox is the next iterate.  The
+    trace holds F, the support and the residual from one evaluation per
+    iterate, and iterates and certificates scattered back to length n.
     """
     config.validate(prob)
+    n = prob.n
     if x0 is None:
-        x = np.zeros(prob.n)
+        x = np.zeros(n)
     else:
         x = np.array(x0, dtype=np.float64, copy=True)
-        if x.shape != (prob.n,):
-            raise ValidationError(f"x0 has shape {x.shape}, expected ({prob.n},)")
+        if x.shape != (n,):
+            raise ValidationError(f"x0 has shape {x.shape}, expected ({n},)")
         if not np.isfinite(x).all():
             raise ValidationError("x0 must be finite")
-    store = prob.n <= STORE_ITERATES_MAX_N
+    store = n <= STORE_ITERATES_MAX_N
     keep_coords = perturb is not None
     trace = IterationTrace(
         algo=algo, f_values=[], step_norms=[], eps_values=[],
         support_sizes=[], residuals=[], iterates=[] if store else None,
         supports=[], stepsizes=[], eps_kind=eps_kind,
         coord_certified=[] if keep_coords else None,
-        coord_bounds=[] if keep_coords else None)
+        coord_bounds=[] if keep_coords else None,
+        working_set_sizes=[], refreshes=[])
+
+    def full(vec_j):
+        out = np.zeros(n)
+        out[J] = vec_j
+        return out
+
+    cols = _columns(prob.A)  # row j is column j of A, for every product
+    col_norm = np.sqrt(np.vecdot(cols, cols))
+    gamma = (prob.m + 4) * EPS
+    J = x.nonzero()[0]  # until the first full product
+    x_j, cols_j = x[J], cols[J]
+    prepared = kernel = r_ref = pos_key = A_s = None
+    rho = math.inf
     converged = False
-    kernel = None
     for k in range(config.max_iters + 1):
-        f, grad, support, resid = _evaluate(prob, x)
+        pos = x_j.nonzero()[0]  # supp(x) as positions in J
+        if pos.tobytes() != pos_key:
+            pos_key, A_s = pos.tobytes(), np.ascontiguousarray(cols_j[pos].T)
+        xs = x_j[pos]
+        r = np.vecdot(A_s, xs) - prob.b
+        v = config.stepsize(k)
+        new_v = prepared is None or prepared.v != v
+        if new_v or (rho < math.inf and _norm(r - r_ref) > rho):
+            if new_v:
+                prepared = _Prepared(v, prob.lambda_vec, prob.p)
+            grad = _gradient_at(cols, r)
+            x_full, support = full(x_j), J[pos]
+            J, rho = _working_set(
+                _radii(prepared, grad, col_norm, _norm(r), gamma), support)
+            x_j, cols_j, grad, r_ref = x_full[J], cols[J], grad[J], r
+            kernel = prepared.restrict(J)
+            pos = x_j.nonzero()[0]
+            pos_key = pos.tobytes()  # A_s holds the same columns
+            trace.refreshes.append(k)
+        else:
+            grad = _gradient_at(cols_j, r)
+        f, resid = _evaluate(prob, r, grad[pos], xs, kernel.lam[pos])
         trace.f_values.append(f)
-        trace.support_sizes.append(len(support))
-        trace.supports.append(support)
+        trace.support_sizes.append(len(pos))
+        trace.supports.append(tuple(J[pos].tolist()))
         trace.residuals.append(resid)
+        trace.working_set_sizes.append(len(J))
         if store:
-            trace.iterates.append(x.copy())
+            trace.iterates.append(full(x_j))
         if converged or k == config.max_iters:
             break
-        v = config.stepsize(k)
-        if kernel is None or kernel.v != v:
-            kernel = _Prepared(v, prob.lambda_vec, prob.p)
-        z = x - v * grad
+        z = x_j - v * grad
         y_star, value = _prox_select(z, kernel)
         if perturb is None:
             x_new, eps, certified, bounds = y_star, 0.0, None, None
         else:
-            x_new, eps, certified, bounds = perturb(k, x, z, v, y_star, value)
-        step = x_new - x
-        step_norm = math.sqrt(step.dot(step))
+            x_new, eps, certified, bounds = perturb(k, x_j, z, kernel, y_star, value)
+        step_norm = _norm(x_new - x_j)
         if step_norm == 0.0:
             # exact fixed point: recording the duplicate iterate adds nothing
             converged = True
@@ -297,9 +403,9 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         trace.eps_values.append(eps)
         trace.stepsizes.append(v)
         if keep_coords:
-            trace.coord_certified.append(certified)
-            trace.coord_bounds.append(bounds)
-        x = x_new
+            trace.coord_certified.append(full(certified))
+            trace.coord_bounds.append(full(bounds))
+        x_j = x_new
         converged = step_norm <= config.stop_tol
     trace.converged = converged
     return trace
@@ -328,8 +434,11 @@ def _cut(trace: IterationTrace, config: SolverConfig) -> IterationTrace:
 
     return replace(
         trace, converged=converged,
+        refreshes=None if trace.refreshes is None else [
+            k for k in trace.refreshes if k <= n],
         **{f: head(getattr(trace, f), n + 1) for f in (
-            "f_values", "support_sizes", "residuals", "iterates", "supports")},
+            "f_values", "support_sizes", "residuals", "iterates", "supports",
+            "working_set_sizes")},
         **{f: head(getattr(trace, f), n) for f in (
             "step_norms", "eps_values", "stepsizes", "coord_certified",
             "coord_bounds")})
@@ -351,9 +460,10 @@ def run_ipga_1p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
     """
     tau_sched = config.inexact
 
-    def perturb(k, x, z, v, y_star, value):
+    def perturb(k, x, z, kernel, y_star, value):
         x_new, gaps, bounds = prox_inexact_value(
-            z, v, prob, y_star, value, x, tau_sched.value(k), config.knob)
+            z, kernel.v, prob, y_star, value, x, tau_sched.value(k), config.knob,
+            cols=kernel.cols)
         return x_new, math.fsum(gaps.tolist()), gaps, bounds
 
     return _iterate(prob, config, x0, "ipga1p", "value", perturb)
@@ -370,7 +480,7 @@ def run_ipga_2p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
     if t_sched.c >= 1.0:
         raise ValidationError("distance schedule requires t_k < 1 for every k")
 
-    def perturb(k, x, z, v, y_star, value):
+    def perturb(k, x, z, kernel, y_star, value):
         t_k = t_sched.value(k)
         delta = y_star - x
         i = ((delta != 0.0) & (y_star != 0.0)).nonzero()[0]  # moving

@@ -87,7 +87,7 @@ def test_prox_table_bad_parameter_exits_1(tmp_path, flag, value):
     ("certify", "--beta", "abc"),
     ("certify-point", "--point", "abc"),
     ("certify-point", "--point", '["a"]'),
-    *(("certify", flag, value) for flag in ("--alpha", "--beta")
+    *(("certify", flag, value) for flag in ("--alpha", "--beta", "--v")
       for value in ("-1", "0", "nan", "inf")),
 ])
 def test_certify_bad_parameter_exits_1(tmp_path, capsys, command, flag, value):
@@ -203,3 +203,15 @@ def test_manifest_only_when_output_written(tmp_path):
                    "--trace", str(tmp_path / "missing.csv"), "--fstar", "0")
     assert code == 1
     assert not (tmp_path / "rate-manifest.json").exists()
+
+
+def test_solve_manifest_counts_the_solver_work(tmp_path):
+    out = str(tmp_path)
+    run_cli("--out-dir", out, "--quiet", "generate", "--m", "20", "--n", "200",
+            "--s", "3", "--out", "p.json")
+    assert run_cli("--out-dir", out, "--quiet", "solve",
+                   "--problem", str(tmp_path / "p.json")) == 0
+    stats = json.loads((tmp_path / "solve-manifest.json").read_text())["stats"]
+    assert set(stats) == {"full_products", "mean_working_set"}
+    assert stats["full_products"] >= 1
+    assert 0 < stats["mean_working_set"] < 200

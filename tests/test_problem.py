@@ -186,6 +186,24 @@ def test_problem_file_roundtrip(tmp_path):
         assert loaded.lam == prob.lam and loaded.p == prob.p
 
 
+def test_problem_file_bytes_equal_a_streamed_json_dump(tmp_path):
+    prob, _ = generate_instance(seed=3, m=4, n=6, s=2, noise=0.05, lam=0.3, p=0.6)
+    weighted = Problem(A=prob.A, b=prob.b, lam=1 / 3, p=0.1 + 0.2,
+                       weights=[5e-324, 1 / 3, 0.1 + 0.2, 1.7976931348623157e308,
+                                1.0, 2.0])
+    for prob in (prob, weighted):
+        data = {"m": prob.m, "n": prob.n, "p": prob.p, "lambda": prob.lam,
+                "A": prob.A.tolist(), "b": prob.b.tolist()}
+        if prob.weights is not None:
+            data["weights"] = prob.weights.tolist()
+        ref = tmp_path / "ref.json"
+        with open(ref, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=None, separators=(",", ":"), sort_keys=True)
+            fh.write("\n")
+        save_problem(tmp_path / "prob.json", prob)
+        assert (tmp_path / "prob.json").read_bytes() == ref.read_bytes()
+
+
 def test_problem_file_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"m": 1, "n": 1, "lambda": 1.0, "A": [[1.0]], "b": [1.0]}')

@@ -8,9 +8,11 @@ from lpreg import (
     Problem,
     certify_h2,
     default_stepsize,
+    generate_instance,
     gradient_smooth,
     lower_bound,
     objective,
+    prox_inexact_value,
     prox_vector,
     residual_on_support,
     run_ipga_1p,
@@ -21,7 +23,8 @@ from lpreg import (
 from lpreg import solvers
 from lpreg.errors import StepsizeError, ValidationError
 from lpreg.experiments import make_instances
-from lpreg.problem import SPECTRAL_TOL
+from lpreg.problem import SPECTRAL_TOL, _columns
+from lpreg.prox import _Prepared
 from lpreg.solvers import (
     IterationTrace,
     Schedule,
@@ -164,7 +167,8 @@ def _exact_prox_steps(prob, trace):
 def test_stepsize_sequence_rebuilds_the_prox_constants(small_instance, monkeypatch,
                                                         run, p, lam, weighted):
     # three distinct stepsizes: the loop prepares the kernel once for each,
-    # and every step's exact prox equals prox_vector of its gradient step
+    # and every step's exact prox equals prox_vector of its gradient step,
+    # on the working set J = kernel.cols, and is 0 off it
     prob, planted = small_instance
     weights = np.linspace(0.5, 2.0, prob.n) if weighted else None
     prob = dataclasses.replace(prob, p=p, lam=lam, weights=weights)
@@ -180,7 +184,7 @@ def test_stepsize_sequence_rebuilds_the_prox_constants(small_instance, monkeypat
 
     def recording_select(z, kernel):
         y_star, value = select(z, kernel)
-        calls.append((z, kernel.v, y_star))
+        calls.append((z, kernel, y_star))
         return y_star, value
 
     monkeypatch.setattr(solvers, "_Prepared", counting_prepare)
@@ -189,13 +193,17 @@ def test_stepsize_sequence_rebuilds_the_prox_constants(small_instance, monkeypat
     assert built == list(cfg.v)
     assert trace.stepsizes == [cfg.stepsize(k) for k in range(len(trace.stepsizes))]
     assert len(calls) >= len(trace.step_norms) > 3
-    for k, (z, v_k, y_star) in enumerate(calls[:len(trace.step_norms)]):
-        x = trace.iterates[k]
+    for k, (z, kernel, y_star) in enumerate(calls[:len(trace.step_norms)]):
+        x, v_k, cols = trace.iterates[k], kernel.v, kernel.cols
         assert v_k == cfg.stepsize(k)
-        assert z.tobytes() == (x - v_k * gradient_smooth(prob, x)).tobytes()
-        assert y_star.tobytes() == prox_vector(z, v_k, prob)[0].tobytes(), k
+        z_full = x - v_k * gradient_smooth(prob, x)
+        y_full = prox_vector(z_full, v_k, prob)[0]
+        assert z.tobytes() == z_full[cols].tobytes()
+        assert y_star.tobytes() == y_full[cols].tobytes(), k
+        assert np.count_nonzero(y_full) == np.count_nonzero(y_star), k
         if run is run_pga:
-            assert y_star.tobytes() == trace.iterates[k + 1].tobytes()
+            assert y_full.tobytes() == trace.iterates[k + 1].tobytes()
+    assert min(kernel.cols.size for _, kernel, _ in calls) < prob.n
 
 
 def test_ipga1p_shift_stays_within_its_closed_form(small_instance):
@@ -439,3 +447,169 @@ def test_cut_at_an_exact_fixed_point(one_dim):
     assert len(ref) == 1 and ref.converged
     cfg = SolverConfig(v=0.4)
     _assert_same_trace(solvers._cut(ref, cfg), run_pga(one_dim, cfg, x0=t_star))
+
+
+# ---------------------------------------------------------------------------
+# The working set: every iterate of the solvers runs on the columns J, and
+# must equal the loop that runs on all n columns.
+# ---------------------------------------------------------------------------
+
+def _full_vector_run(prob, cfg, algo):
+    """pga, ipga1p or ipga2p from x = 0 on every coordinate, from the public
+    functions.
+
+    Returns the iterates, the step norms and, for the inexact variants, the
+    per-coordinate certificates and bounds of each step.
+    """
+    x = np.zeros(prob.n)
+    iterates, steps, certified, bounds = [x], [], [], []
+    for k in range(cfg.max_iters):
+        v = cfg.stepsize(k)
+        z = x - v * gradient_smooth(prob, x)
+        y, value = prox_vector(z, v, prob)
+        if algo == "ipga1p":
+            y, cert, bound = prox_inexact_value(z, v, prob, y, value, x,
+                                                cfg.inexact.value(k), cfg.knob)
+        elif algo == "ipga2p":
+            t = cfg.inexact.value(k)
+            d = y - x
+            moving = (d != 0.0) & (y != 0.0)
+            y_star = y.copy()
+            y[moving] += np.copysign(cfg.knob * t * np.abs(d[moving]) / (1.0 - t),
+                                     d[moving])
+            cert = np.abs(y - y_star)
+            bound = np.where(moving, t * np.abs(y - x), 0.0)
+        step = np.linalg.norm(y - x)
+        if step == 0.0:
+            break
+        iterates.append(y)
+        steps.append(step)
+        if algo != "pga":
+            certified.append(cert)
+            bounds.append(bound)
+        x = y
+        if step <= cfg.stop_tol:
+            break
+    return iterates, steps, certified, bounds
+
+
+def _shrinking_instance(weighted=False):
+    # m=20, n=200: J stays well below n once the first iterates have passed
+    prob, planted = generate_instance(seed=1, m=20, n=200, s=3, noise=0.0,
+                                      lam=0.1, p=0.5)
+    if weighted:
+        prob = dataclasses.replace(prob, p=0.3, lam=0.05,
+                                   weights=np.linspace(0.02, 0.08, prob.n))
+    return prob, planted
+
+
+def _late_entry_instance():
+    # b = e1 + e2 needs column 1, c = (e1 - e2)/sqrt(2), which is orthogonal
+    # to b: g_1 = 0 at x = 0, so the unit-norm filler columns, weakly
+    # correlated with b, have smaller radii and J starts without it.  Only
+    # once x_0 has fitted e1 does the residual turn towards c.
+    m, n = 12, 40
+    rng = np.random.default_rng(0)
+    A = np.zeros((m, n))
+    A[0, 0] = 1.0
+    A[0, 1], A[1, 1] = np.sqrt(0.5), -np.sqrt(0.5)
+    fill = rng.standard_normal((m - 2, n - 2))
+    A[2:, 2:] = fill / np.linalg.norm(fill, axis=0)
+    A[:2, 2:] = 0.05 * rng.standard_normal((2, n - 2))
+    b = np.zeros(m)
+    b[:2] = 1.0
+    return Problem(A=A, b=b, lam=0.1, p=0.5)
+
+
+_SCHEDULES = {"pga": Schedule.zero(), "ipga1p": Schedule.geometric(0.1, 0.5),
+              "ipga2p": Schedule.geometric(0.3, 0.7)}
+
+
+@pytest.mark.parametrize("algo", ["pga", "ipga1p", "ipga2p"])
+@pytest.mark.parametrize("case", ["constant", "stepsize-sequence", "weighted-p0.3",
+                                  "late-entry"])
+def test_working_set_run_equals_the_full_vector_loop(algo, case):
+    if case == "late-entry":
+        prob = _late_entry_instance()
+    else:
+        prob, _ = _shrinking_instance(weighted=case == "weighted-p0.3")
+    v = default_stepsize(prob)
+    steps = (0.5 * v, 0.7 * v, 0.9 * v, v) if case == "stepsize-sequence" else v
+    cfg = SolverConfig(v=steps, inexact=_SCHEDULES[algo])
+    trace = solvers.runner(algo)(prob, cfg)
+    iterates, step_norms, certified, bounds = _full_vector_run(prob, cfg, algo)
+    for k, x in enumerate(iterates):
+        assert trace.iterates[k].tobytes() == x.tobytes(), k
+        assert trace.supports[k] == tuple(np.flatnonzero(x).tolist()), k
+        assert trace.f_values[k] == objective(prob, x), k
+    assert len(trace) == len(iterates)
+    assert trace.mean_working_set < 0.6 * prob.n
+    # the solver's step norm sums over J, the reference's over all n
+    assert_allclose(trace.step_norms, step_norms, rtol=4e-16, atol=0.0)
+    if algo != "pga":
+        for k in range(len(certified)):
+            assert trace.coord_certified[k].tobytes() == certified[k].tobytes(), k
+            assert trace.coord_bounds[k].tobytes() == bounds[k].tobytes(), k
+    # a new stepsize rebuilds the kernel constants, so it refreshes J
+    changes = [k for k in range(1, len(trace.stepsizes))
+               if trace.stepsizes[k] != trace.stepsizes[k - 1]]
+    assert set(changes) <= set(trace.refreshes)
+    assert trace.refreshes[0] == 0 and trace.full_products == len(trace.refreshes)
+    if case == "stepsize-sequence":
+        assert changes == [1, 2, 3]
+
+
+def test_a_column_outside_the_working_set_enters_the_support(monkeypatch):
+    # column 1 is left out of the first J; a drift refresh lets it in, and
+    # it ends in the support, as in the full-vector loop
+    prob = _late_entry_instance()
+    working_sets = []
+    choose = solvers._working_set
+
+    def recording(s, support):
+        J, rho = choose(s, support)
+        working_sets.append(J.tolist())
+        return J, rho
+
+    monkeypatch.setattr(solvers, "_working_set", recording)
+    trace = run_pga(prob, SolverConfig(v=default_stepsize(prob)))
+    assert trace.converged and len(working_sets) == trace.full_products
+    assert 1 not in working_sets[0]
+    entry = next(k for k, supp in enumerate(trace.supports) if 1 in supp)
+    assert entry > trace.refreshes[1] and 1 in trace.supports[-1]
+
+
+def test_drift_radius_is_safe_in_the_worst_direction():
+    # Move r_ref by each column's own radius s_j, straight along a_j: the
+    # computed z_j = -v g_j must still fall short of the kernel's cut.
+    # Without the rounding margin, about half of these columns would land
+    # on or past the cut.
+    rng = np.random.default_rng(11)
+    m, n = 30, 400
+    A = rng.standard_normal((m, n)) / np.sqrt(m)
+    prob = Problem(A=A, b=np.zeros(m), lam=1.0, p=0.5)
+    v = default_stepsize(prob)
+    cols = _columns(A)
+    col_norm = np.sqrt(np.vecdot(cols, cols))
+    gamma = (m + 4) * solvers.EPS
+    checked = 0
+    for trial in range(8):
+        kernel = _Prepared(v, prob.lambda_vec * rng.uniform(0.5, 2.0), prob.p)
+        # |g| spreads around cut/v, so many columns sit just below the cut
+        r_ref = rng.standard_normal(m) * (kernel.cut[0] / v) * rng.uniform(0.5, 3.0)
+        g_ref = 2.0 * np.vecdot(cols, r_ref)
+        s = solvers._radii(kernel, g_ref, col_norm, np.linalg.norm(r_ref), gamma)
+        for j in np.flatnonzero(s > 0.0):
+            step = s[j] * np.sign(g_ref[j]) * cols[j] / col_norm[j]
+            for _ in range(20):
+                r = r_ref + step
+                drift = np.linalg.norm(r - r_ref)  # what the loop measures
+                if drift <= s[j]:
+                    break
+                step *= (s[j] / drift) * (1.0 - 1e-12)
+            else:
+                continue  # r_ref + step rounds too coarsely at this radius
+            a = abs(0.0 - v * (2.0 * np.vecdot(cols[j], r)))
+            assert a < kernel.cut[j], (trial, j)
+            checked += 1
+    assert checked > 500
