@@ -116,7 +116,8 @@ def _check_x(prob: Problem, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (prob.n,):
         raise DimensionMismatchError(f"x has shape {x.shape}, expected ({prob.n},)")
-    if not np.isfinite(x).all():
+    # count_nonzero is one call; .all() goes through the Python-level reduce
+    if np.count_nonzero(np.isfinite(x)) < x.size:
         raise ValidationError("x must be finite")
     return x
 
@@ -146,8 +147,13 @@ def _columns(A: np.ndarray, idx=slice(None)) -> np.ndarray:
 
 
 def _residual(prob: Problem, x: np.ndarray):
-    """supp(x) and r = A x - b, each entry of A x a dot product over supp(x)."""
+    """supp(x) and r = A x - b, each entry of A x a dot product over supp(x).
+
+    A dense x takes the rows of A as they are, with no copy of A[:, supp].
+    """
     idx = x.nonzero()[0]
+    if idx.size == x.size:
+        return idx, np.vecdot(np.ascontiguousarray(prob.A), x) - prob.b
     return idx, np.vecdot(np.ascontiguousarray(prob.A[:, idx]), x[idx]) - prob.b
 
 
@@ -159,8 +165,7 @@ def _gradient_at(cols: np.ndarray, r: np.ndarray) -> np.ndarray:
 def objective(prob: Problem, x) -> float:
     """F(x) = ||Ax-b||^2 + sum_i lambda_i |x_i|^p, compensated summation."""
     x = _check_x(prob, x)
-    idx, r = _residual(prob, x)
-    return _objective_at(prob, r, prob.lambda_vec[idx], np.abs(x[idx]))
+    return _objective_at(prob, _residual(prob, x)[1], prob.lambda_vec, np.abs(x))
 
 
 def gradient_smooth(prob: Problem, x) -> np.ndarray:

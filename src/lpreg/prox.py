@@ -137,12 +137,17 @@ class _Prepared:
                          -(3.0 * math.sqrt(3.0) * vlam))
 
     def restrict(self, cols: np.ndarray) -> "_Prepared":
-        """The same constants on the coordinates ``cols`` only."""
+        """The same constants on the sorted coordinates ``cols`` only; when
+        ``cols`` is every coordinate, the arrays are shared, not copied."""
+        every = cols.size == self.lam.size
+
+        def take(a):
+            return a if every else a[cols]
+
         k = object.__new__(_Prepared)
         k.v, k.p, k.cols = self.v, self.p, cols
-        k.lam, k.c, k.t_lb, k.cut = (
-            a[cols] for a in (self.lam, self.c, self.t_lb, self.cut))
-        k.half = None if self.half is None else tuple(a[cols] for a in self.half)
+        k.lam, k.c, k.t_lb, k.cut = map(take, (self.lam, self.c, self.t_lb, self.cut))
+        k.half = None if self.half is None else tuple(map(take, self.half))
         return k
 
 
@@ -309,21 +314,23 @@ def prox_vector(z, v: float, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(f"z has shape {z.shape}, expected ({prob.n},)")
     if not (v > 0 and math.isfinite(v)):
         raise ValidationError(f"v must be positive, got {v}")
-    return _prox_select(z, _Prepared(v, prob.lambda_vec, prob.p))
+    y, value, _ = _prox_select(z, _Prepared(v, prob.lambda_vec, prob.p))
+    return y, value
 
 
 def _prox_select(z: np.ndarray, k: _Prepared):
-    """``prox_vector`` of a checked-shape z with constants prepared for its v."""
+    """``prox_vector`` of a checked-shape z with constants prepared for its
+    v, and the candidates, the coordinates that can have a nonzero output."""
     if np.count_nonzero(np.isfinite(z)) < z.size:
         raise ValidationError("z must be finite")
     idx, t, tie, value = _prox_abs(np.abs(z), k)
     y = np.zeros(z.size)
     y[idx] = _selection(t, tie, z[idx])
-    return y, value
+    return y, value, idx
 
 
 def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
-                       tau: float, knob: float = 0.9, cols=None):
+                       tau: float, knob: float = 0.9, *, lam=None):
     """Value-type perturbation of the exact prox ``(y_star, value)`` of z.
 
     Coordinate i may return any y_i whose scalar prox objective g_i lies
@@ -340,8 +347,9 @@ def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
 
     The certificate is the gap recomputed against ``value``.  A coordinate
     whose recomputed gap exceeds its bound falls back to y*_i with gap 0.
-    Returns the point, the per-coordinate gaps and their bounds.  With
-    ``cols`` the vectors hold only those coordinates of the problem.
+    Returns the point, the per-coordinate gaps and their bounds.  ``lam``
+    gives the weights of the coordinates that the vectors hold when they
+    are not all of the problem's (the solvers' working set).
     """
     if not (tau >= 0.0 and math.isfinite(tau)):
         raise ValidationError(f"tau must be nonnegative, got {tau}")
@@ -352,7 +360,7 @@ def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
     d, ys = delta[i], y_star[i]
     s = np.minimum(math.sqrt(2.0 * v * knob * tau) * np.abs(d), 0.5 * np.abs(ys))
     y = ys + np.copysign(s, d)
-    lam = prob.lambda_vec[i if cols is None else cols[i]]
+    lam = (prob.lambda_vec if lam is None else lam)[i]
     g = lam * np.abs(y) ** prob.p + (y - z[i]) ** 2 / (2.0 * v)
     gap = np.maximum(g - value[i], 0.0)
     fallback = ~(gap <= tau * (y - x[i]) ** 2)  # a NaN gap falls back too

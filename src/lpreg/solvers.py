@@ -47,7 +47,10 @@ needs and leaves a drift budget for the columns next in line.  While
 the forward product, the gradient, the kernel, the perturbations and F
 run on the m x |J| columns; when the drift passes rho or the stepsize
 changes, one full product A^T r starts a new reference.  J may be every
-column, and then rho is infinite.
+column, and then rho is infinite: no drift can add a column, and the loop
+starts a new reference instead once the support and the last prox's
+candidates, counted together, fall below half of J.  A J of every column
+is used as it is, with no copy of the columns or the kernel's constants.
 
 The margin covers rounding.  A dot product of m terms is exact up to
 gamma_m ||a_j|| ||r|| with gamma_m = m u / (1 - m u), u = eps / 2, so a
@@ -258,7 +261,8 @@ def _evaluate(prob: Problem, r, grad, xs, lam):
     """F(x) and the residual on supp(x), from r = A x - b, the smooth
     gradient ``grad``, x and the weights ``lam`` on the support."""
     ax = np.abs(xs)
-    w = grad + lam * prob.p * ax ** (prob.p - 1.0) * np.sign(xs)
+    # copysign(t, x) is t * sign(x) exactly for t >= 0, in one call
+    w = grad + np.copysign(lam * prob.p * ax ** (prob.p - 1.0), xs)
     return _objective_at(prob, r, lam, ax), _norm(w)
 
 
@@ -314,14 +318,17 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
 
     Each iterate holds x, the gradient and the prox on the working set J
     only (module docstring); a full product A^T r refreshes J when the
-    residual drifts past rho from the reference or the stepsize changes,
-    and the kernel constants are prepared once per stepsize.
+    residual drifts past rho from the reference, when J is every column
+    but over twice what the support and the candidates need, or when the
+    stepsize changes, and the kernel constants are prepared once per
+    stepsize.
     ``perturb(k, x, z, kernel, y_star, value)`` gets the vectors on J and
-    the kernel restricted to J (``kernel.cols``), and returns the next
-    iterate, the step's eps and the per-coordinate certificates and bounds
-    on J.  Without ``perturb`` the exact prox is the next iterate.  The
-    trace holds F, the support and the residual from one evaluation per
-    iterate, and iterates and certificates scattered back to length n.
+    the kernel restricted to J (``kernel.cols``, with the weights
+    ``kernel.lam``), and returns the next iterate, the step's eps and the
+    per-coordinate certificates and bounds on J.  Without ``perturb`` the
+    exact prox is the next iterate.  The trace holds F, the support and the
+    residual from one evaluation per iterate, and iterates and certificates
+    scattered back to length n.
     """
     config.validate(prob)
     n = prob.n
@@ -344,6 +351,10 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         working_set_sizes=[], refreshes=[])
 
     def full(vec_j):
+        # the loop writes into no vector it has made, so one on every
+        # column is kept as it is
+        if len(vec_j) == n:
+            return vec_j
         out = np.zeros(n)
         out[J] = vec_j
         return out
@@ -354,7 +365,7 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
     J = x.nonzero()[0]  # until the first full product
     x_j, cols_j = x[J], cols[J]
     prepared = kernel = r_ref = pos_key = A_s = None
-    rho = math.inf
+    rho, n_cand = math.inf, n  # n_cand: candidates of the last prox
     converged = False
     for k in range(config.max_iters + 1):
         pos = x_j.nonzero()[0]  # supp(x) as positions in J
@@ -364,15 +375,22 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         r = np.vecdot(A_s, xs) - prob.b
         v = config.stepsize(k)
         new_v = prepared is None or prepared.v != v
-        if new_v or (rho < math.inf and _norm(r - r_ref) > rho):
+        if rho < math.inf:
+            stale = _norm(r - r_ref) > rho
+        else:  # no drift can add a column; J may have become too wide
+            stale = 2 * (len(pos) + n_cand) < len(J)
+        if new_v or stale:
             if new_v:
                 prepared = _Prepared(v, prob.lambda_vec, prob.p)
             grad = _gradient_at(cols, r)
             x_full, support = full(x_j), J[pos]
             J, rho = _working_set(
                 _radii(prepared, grad, col_norm, _norm(r), gamma), support)
-            x_j, cols_j, grad, r_ref = x_full[J], cols[J], grad[J], r
-            kernel = prepared.restrict(J)
+            if len(J) == n:  # nothing to copy
+                x_j, cols_j = x_full, cols
+            else:
+                x_j, cols_j, grad = x_full[J], cols[J], grad[J]
+            kernel, r_ref = prepared.restrict(J), r
             pos = x_j.nonzero()[0]
             pos_key = pos.tobytes()  # A_s holds the same columns
             trace.refreshes.append(k)
@@ -389,7 +407,8 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         if converged or k == config.max_iters:
             break
         z = x_j - v * grad
-        y_star, value = _prox_select(z, kernel)
+        y_star, value, cand = _prox_select(z, kernel)
+        n_cand = len(cand)
         if perturb is None:
             x_new, eps, certified, bounds = y_star, 0.0, None, None
         else:
@@ -463,7 +482,7 @@ def run_ipga_1p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
     def perturb(k, x, z, kernel, y_star, value):
         x_new, gaps, bounds = prox_inexact_value(
             z, kernel.v, prob, y_star, value, x, tau_sched.value(k), config.knob,
-            cols=kernel.cols)
+            lam=kernel.lam)
         return x_new, math.fsum(gaps.tolist()), gaps, bounds
 
     return _iterate(prob, config, x0, "ipga1p", "value", perturb)

@@ -183,9 +183,9 @@ def test_stepsize_sequence_rebuilds_the_prox_constants(small_instance, monkeypat
         return prepare(v, lam, p)
 
     def recording_select(z, kernel):
-        y_star, value = select(z, kernel)
+        y_star, value, cand = select(z, kernel)
         calls.append((z, kernel, y_star))
-        return y_star, value
+        return y_star, value, cand
 
     monkeypatch.setattr(solvers, "_Prepared", counting_prepare)
     monkeypatch.setattr(solvers, "_prox_select", recording_select)
@@ -527,10 +527,15 @@ _SCHEDULES = {"pga": Schedule.zero(), "ipga1p": Schedule.geometric(0.1, 0.5),
 
 @pytest.mark.parametrize("algo", ["pga", "ipga1p", "ipga2p"])
 @pytest.mark.parametrize("case", ["constant", "stepsize-sequence", "weighted-p0.3",
-                                  "late-entry"])
+                                  "late-entry", "wide-start"])
 def test_working_set_run_equals_the_full_vector_loop(algo, case):
     if case == "late-entry":
         prob = _late_entry_instance()
+    elif case == "wide-start":
+        # over half the columns are candidates at x = 0, so the first J is
+        # every column; it must shrink once the support has fallen
+        prob, _ = generate_instance(seed=1, m=20, n=60, s=3, noise=0.0,
+                                    lam=0.1, p=0.5)
     else:
         prob, _ = _shrinking_instance(weighted=case == "weighted-p0.3")
     v = default_stepsize(prob)
@@ -557,6 +562,9 @@ def test_working_set_run_equals_the_full_vector_loop(algo, case):
     assert trace.refreshes[0] == 0 and trace.full_products == len(trace.refreshes)
     if case == "stepsize-sequence":
         assert changes == [1, 2, 3]
+    if case == "wide-start":
+        sizes = [trace.working_set_sizes[k] for k in trace.refreshes]
+        assert sizes[0] == prob.n and len(sizes) > 1 and sizes[-1] < prob.n / 2
 
 
 def test_a_column_outside_the_working_set_enters_the_support(monkeypatch):
@@ -579,37 +587,57 @@ def test_a_column_outside_the_working_set_enters_the_support(monkeypatch):
     assert entry > trace.refreshes[1] and 1 in trace.supports[-1]
 
 
+def _cut_is_out_of_reach(cols, col_norm, kernel, v, r_ref, gamma, tested):
+    """Move r_ref by each tested column's own radius s_j, straight along a_j,
+    and assert that the computed z_j = -v g_j still falls short of the
+    kernel's cut; returns the number of columns checked."""
+    g_ref = 2.0 * np.vecdot(cols, r_ref)
+    s = solvers._radii(kernel, g_ref, col_norm, np.linalg.norm(r_ref), gamma)
+    checked = 0
+    for j in tested[s[tested] > 0.0]:
+        step = s[j] * np.sign(g_ref[j]) * cols[j] / col_norm[j]
+        for _ in range(20):
+            r = r_ref + step
+            drift = np.linalg.norm(r - r_ref)  # what the loop measures
+            if drift <= s[j]:
+                break
+            step *= (s[j] / drift) * (1.0 - 1e-12)
+        else:
+            continue  # r_ref + step rounds too coarsely at this radius
+        a = abs(0.0 - v * (2.0 * np.vecdot(cols[j], r)))
+        assert a < kernel.cut[j], j
+        checked += 1
+    return checked
+
+
 def test_drift_radius_is_safe_in_the_worst_direction():
-    # Move r_ref by each column's own radius s_j, straight along a_j: the
-    # computed z_j = -v g_j must still fall short of the kernel's cut.
     # Without the rounding margin, about half of these columns would land
     # on or past the cut.
     rng = np.random.default_rng(11)
-    m, n = 30, 400
+    m, n, k = 30, 400, 10
     A = rng.standard_normal((m, n)) / np.sqrt(m)
     prob = Problem(A=A, b=np.zeros(m), lam=1.0, p=0.5)
     v = default_stepsize(prob)
     cols = _columns(A)
     col_norm = np.sqrt(np.vecdot(cols, cols))
     gamma = (m + 4) * solvers.EPS
-    checked = 0
+    checked = far = 0
     for trial in range(8):
         kernel = _Prepared(v, prob.lambda_vec * rng.uniform(0.5, 2.0), prob.p)
         # |g| spreads around cut/v, so many columns sit just below the cut
         r_ref = rng.standard_normal(m) * (kernel.cut[0] / v) * rng.uniform(0.5, 3.0)
-        g_ref = 2.0 * np.vecdot(cols, r_ref)
-        s = solvers._radii(kernel, g_ref, col_norm, np.linalg.norm(r_ref), gamma)
-        for j in np.flatnonzero(s > 0.0):
-            step = s[j] * np.sign(g_ref[j]) * cols[j] / col_norm[j]
-            for _ in range(20):
-                r = r_ref + step
-                drift = np.linalg.norm(r - r_ref)  # what the loop measures
-                if drift <= s[j]:
-                    break
-                step *= (s[j] / drift) * (1.0 - 1e-12)
-            else:
-                continue  # r_ref + step rounds too coarsely at this radius
-            a = abs(0.0 - v * (2.0 * np.vecdot(cols[j], r)))
-            assert a < kernel.cut[j], (trial, j)
-            checked += 1
-    assert checked > 500
+        checked += _cut_is_out_of_reach(cols, col_norm, kernel, v, r_ref, gamma,
+                                        np.arange(n))
+        # ||r_ref|| a million times cut/v, all of it orthogonal to k tested
+        # columns whose |g_j| sit a hair below cut_j/v: the rounding of g_j
+        # grows with ||r_ref||, and only the margin's 2 gamma ||r_ref|| term
+        # covers it
+        tested = np.sort(rng.choice(n, size=k, replace=False))
+        A_t = A[:, tested]
+        target = (rng.choice([-1.0, 1.0], size=k) * (kernel.cut[tested] / v)
+                  * (1.0 - rng.uniform(1e-7, 1e-6, size=k)))
+        r_ref = A_t @ np.linalg.solve(A_t.T @ A_t, 0.5 * target)  # 2 A_t^T r_ref
+        away = np.linalg.qr(A_t, mode="complete")[0][:, k:] @ rng.standard_normal(m - k)
+        r_ref = r_ref + away * (1e6 * kernel.cut[0] / v / np.linalg.norm(away))
+        far += _cut_is_out_of_reach(cols, col_norm, kernel, v, r_ref, gamma, tested)
+    assert checked > 500 and far > 60
