@@ -240,10 +240,10 @@ class RecursionCertificate:
 def check_geometric_recursion(a_seq, delta_seq, eta: float) -> RecursionCertificate:
     """Verify a_{k+1} <= eta a_k + delta_k and build a dominating K theta^k.
 
-    The hypotheses are that both sequences are nonnegative, eta lies in
-    (0,1), and the delta tail ratio stays below 1 on the given data.  The
-    construction picks tau with delta_{k+1} <= tau^2 delta_k on the tail,
-    converts delta into c_k tau^k with summable c, and returns
+    The hypotheses are: both sequences finite and nonnegative, eta in (0,1),
+    and the delta tail ratio below 1 on the given data.  The construction
+    picks tau with delta_{k+1} <= tau^2 delta_k on the tail, converts delta
+    into c_k tau^k with summable c, and returns
 
         theta = max(eta, tau),
         K = max(1, a_0, a_1 / (c_0 + theta)) * exp(sum(c) / theta),
@@ -254,8 +254,8 @@ def check_geometric_recursion(a_seq, delta_seq, eta: float) -> RecursionCertific
     d = [float(v) for v in delta_seq]
     if not (0.0 < eta < 1.0):
         raise ValidationError(f"eta must lie in (0, 1), got {eta}")
-    if any(v < 0 for v in a) or any(v < 0 for v in d):
-        raise ValidationError("sequences must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in a + d):  # NaN fails too
+        raise ValidationError("sequences must be finite and nonnegative")
     if len(d) < len(a) - 1:
         raise ValidationError("delta sequence too short for the recursion check")
 
@@ -396,8 +396,8 @@ def fit_rate(
 ) -> RateEstimate:
     """Fit the geometric rate of F(x^k) - F* or ||x^k - x*|| along a trace.
 
-    The reference (F* or x*) should come from a tighter re-solve; the final
-    iterate of a run continued to stop_tol = 1e-13 is the intended proxy.
+    The reference (F* or x*) is the run's limit, such as the Newton-polished
+    final iterate that ``experiments.reference_solution`` returns.
     """
     if quantity == "objective-gap":
         if f_star is None:

@@ -422,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--problem", required=True)
     cp.add_argument("--point", type=_json_point, required=True,
                     help="JSON array of length n")
-    cp.add_argument("--fo-tol", type=float, default=1e-8)
-    cp.add_argument("--so-tol", type=float, default=1e-10)
+    cp.add_argument("--fo-tol", type=_positive, default=1e-8)
+    cp.add_argument("--so-tol", type=_positive, default=1e-10)
     cp.add_argument("--probe", action="store_true",
                     help="attach a growth probe to the report")
     cp.add_argument("--seed", type=int, default=0)

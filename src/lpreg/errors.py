@@ -30,3 +30,7 @@ class StepsizeError(ValidationError):
 
 class ProxConvergenceError(LpregError, RuntimeError):
     """The prox stationarity solve failed to reach its tolerance."""
+
+
+class PolishError(LpregError, RuntimeError):
+    """Newton on a point's support and signs found no strict local minimum."""

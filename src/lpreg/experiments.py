@@ -4,13 +4,17 @@ Each experiment returns an ExperimentResult whose ``files`` map file names
 to fully rendered text; given the same package build they re-render
 byte-identically, which is what the reproducibility gate checks.  All
 randomness is seeded and all iteration is order-fixed.
+
+The solver experiments run each method once per instance at its default
+config and fit its rate against the run's own limit: the final iterate,
+Newton-polished and certified a strict local minimum.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,36 +140,37 @@ def make_instances():
     ]
 
 
-def _reference_run(prob, algo: str, inexact: solvers.Schedule):
-    """The default config of ``algo``, and its run at stop_tol 1e-13.
+def _solve(prob, algo: str, inexact: solvers.Schedule):
+    """``algo``'s default config and run, and the run's certified limit.
 
-    The reference must come from the same algorithm and schedule as the
+    The limit (x*, F*) comes from the same algorithm and schedule as the
     trace being fitted: the inexact runs occasionally settle in a different
     (sometimes better) basin than exact PGA, and a rate fit against a
     foreign limit is meaningless.
     """
     cfg = solvers.SolverConfig(v=solvers.default_stepsize(prob), inexact=inexact)
-    return cfg, solvers.runner(algo)(prob, replace(cfg, stop_tol=1e-13, max_iters=200_000))
+    trace = solvers.runner(algo)(prob, cfg)
+    x_star = optimality.polish_local_minimum(prob, trace.final_iterate)
+    return cfg, trace, x_star, prob_mod.objective(prob, x_star)
 
 
 def reference_solution(prob, algo: str = "pga",
                        inexact: solvers.Schedule | None = None):
-    """Tight re-solve (stop_tol 1e-13) giving the x*/F* proxies."""
-    _, trace = _reference_run(prob, algo, inexact or solvers.Schedule.zero())
-    return trace.final_iterate, trace.f_values[-1]
+    """x* and F* for rate fits: the certified limit of ``algo``'s default run."""
+    return _solve(prob, algo, inexact or solvers.Schedule.zero())[2:]
 
 
 def _solve_family(algo: str, inexact: solvers.Schedule):
-    """One reference run of ``algo`` per instance: the artifacts (problems,
-    default configs, the default-tolerance traces cut from the runs) and F*."""
+    """One default run of ``algo`` per instance: the artifacts (problems,
+    configs, traces) and each trace's F*."""
     artifacts = {"problems": [], "configs": [], "traces": []}
     f_stars = []
     for prob in make_instances():
-        cfg, ref = _reference_run(prob, algo, inexact)
+        cfg, trace, _, f_star = _solve(prob, algo, inexact)
         artifacts["problems"].append(prob)
         artifacts["configs"].append(cfg)
-        artifacts["traces"].append(solvers._cut(ref, cfg))
-        f_stars.append(ref.f_values[-1])
+        artifacts["traces"].append(trace)
+        f_stars.append(f_star)
     return artifacts, f_stars
 
 

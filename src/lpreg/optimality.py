@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import PolishError, ValidationError
 from .problem import Problem, gradient_smooth, objective
 from .solvers import residual_on_support
 
@@ -36,6 +36,7 @@ __all__ = [
     "GrowthProbeResult",
     "EnumerationResult",
     "classify_point",
+    "polish_local_minimum",
     "growth_probe",
     "default_probe_delta",
     "enumerate_local_minima",
@@ -67,14 +68,17 @@ class OptimalityReport:
     growth: GrowthProbeResult | None = None
 
 
+def _reduced_hessian(AtA2, lam, p, y) -> np.ndarray:
+    """2 A_I^T A_I + lambda_I p (p-1) diag(|y|^{p-2}), given AtA2 = 2 A_I^T A_I."""
+    return AtA2 + np.diag(lam * p * (p - 1.0) * np.abs(y) ** (p - 2.0))
+
+
 def second_order_matrix(prob: Problem, x) -> np.ndarray:
     """M(x) = 2 A_I^T A_I + lambda_I p (p-1) diag(|x_I|^{p-2}) on supp(x)."""
     x = np.asarray(x, dtype=np.float64)
     idx = np.flatnonzero(x)
     A_I = prob.A[:, idx]
-    lam = prob.lambda_vec[idx]
-    diag = lam * prob.p * (prob.p - 1.0) * np.abs(x[idx]) ** (prob.p - 2.0)
-    return 2.0 * A_I.T @ A_I + np.diag(diag)
+    return _reduced_hessian(2.0 * A_I.T @ A_I, prob.lambda_vec[idx], prob.p, x[idx])
 
 
 def classify_point(
@@ -90,7 +94,7 @@ def classify_point(
     if not support:
         return OptimalityReport(support, 0.0, None, CLASS_ZERO)
     min_eig = float(np.linalg.eigvalsh(second_order_matrix(prob, x))[0])
-    if residual > fo_tol:
+    if not residual <= fo_tol:  # a NaN residual or fo_tol fails closed
         cls = CLASS_NOT_CRITICAL
     elif min_eig > so_tol:
         cls = CLASS_LOCAL_MIN
@@ -209,9 +213,6 @@ def _newton_in_orthant(prob, idx, signs, y0, max_iters=200):
     def grad(y):
         return AtA2 @ y - Atb2 + lam * p * np.abs(y) ** (p - 1.0) * s
 
-    def hess(y):
-        return AtA2 + np.diag(lam * p * (p - 1.0) * np.abs(y) ** (p - 2.0))
-
     y = y0.copy()
     g = grad(y)
     ng = float(np.linalg.norm(g))
@@ -219,7 +220,7 @@ def _newton_in_orthant(prob, idx, signs, y0, max_iters=200):
     for _ in range(max_iters):
         if ng <= _GRAD_TOL * scale:
             return y, "converged"
-        H = hess(y)
+        H = _reduced_hessian(AtA2, lam, p, y)
         d = None
         mu = 0.0
         for _ in range(40):
@@ -251,6 +252,28 @@ def _newton_in_orthant(prob, idx, signs, y0, max_iters=200):
         if not improved:
             return None, "stalled"
     return None, "exhausted"
+
+
+def polish_local_minimum(prob: Problem, x) -> np.ndarray:
+    """Newton on supp(x) and sign(x) from x: the strict local minimum there.
+
+    With supp(x) and its signs fixed F is smooth; Newton keeps each step
+    inside the orthant, so its root keeps them.  Raises PolishError unless
+    that root is critical-second-order.  x = 0 returns 0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    idx = np.flatnonzero(x)
+    out = np.zeros(prob.n)
+    if idx.size:
+        y, status = _newton_in_orthant(prob, idx, np.sign(x[idx]), x[idx])
+        out[idx] = x[idx] if y is None else y
+        report = classify_point(prob, out)
+        if status != "converged" or report.classification != CLASS_LOCAL_MIN:
+            raise PolishError(
+                f"Newton polish on support {report.support}: status {status}, "
+                f"{report.classification} at the {'start' if y is None else 'root'},"
+                f" lambda_min(M) = {report.second_order_min_eig:.6g}")
+    return out
 
 
 def _coordinate_floor(prob: Problem, i: int) -> float:

@@ -75,7 +75,7 @@ others, and sums run in index order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -428,39 +428,6 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         converged = step_norm <= config.stop_tol
     trace.converged = converged
     return trace
-
-
-def _cut(trace: IterationTrace, config: SolverConfig) -> IterationTrace:
-    """The trace that ``config``'s own run records, cut from ``trace``.
-
-    ``trace`` must come from a run of the same method, problem, start,
-    stepsizes and schedule, with a stop_tol no larger and a max_iters no
-    smaller than ``config``'s.  That run takes every step of the shorter
-    one first, so the shorter trace is its prefix.  The cut mirrors the
-    stop rule of ``_iterate``: it ends after the first step of norm <=
-    stop_tol within max_iters steps (converged), or else after
-    min(steps, max_iters) steps, converged only where ``trace`` stopped at
-    an exact fixed point inside that range.
-    """
-    steps = trace.step_norms[:config.max_iters]
-    hit = next((k for k, s in enumerate(steps) if s <= config.stop_tol), None)
-    n = len(steps) if hit is None else hit + 1
-    converged = hit is not None or (
-        bool(trace.converged) and len(trace.step_norms) < config.max_iters)
-
-    def head(xs, size):
-        return None if xs is None else xs[:size]
-
-    return replace(
-        trace, converged=converged,
-        refreshes=None if trace.refreshes is None else [
-            k for k in trace.refreshes if k <= n],
-        **{f: head(getattr(trace, f), n + 1) for f in (
-            "f_values", "support_sizes", "residuals", "iterates", "supports",
-            "working_set_sizes")},
-        **{f: head(getattr(trace, f), n) for f in (
-            "step_norms", "eps_values", "stepsizes", "coord_certified",
-            "coord_bounds")})
 
 
 def run_pga(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:

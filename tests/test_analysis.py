@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -198,6 +199,14 @@ def test_recursion_validation():
         check_geometric_recursion([1.0], [0.0], eta=1.5)
     with pytest.raises(ValidationError):
         check_geometric_recursion([1.0, -1.0], [0.0], eta=0.5)
+    # a NaN or inf entry must not pass as a satisfied recursion
+    a = [0.5**k for k in range(6)]
+    d = [0.1 * 0.5**k for k in range(6)]
+    for a_seq, d_seq in (([math.nan] * 6, d), (a[:2] + [math.nan] + a[3:], d),
+                         (a[:1] + [math.inf] + a[2:], d),
+                         (a, d[:3] + [math.nan] + d[4:])):
+        with pytest.raises(ValidationError, match="finite"):
+            check_geometric_recursion(a_seq, d_seq, eta=0.6)
 
 
 def test_fit_series_exact_geometric():

@@ -89,6 +89,8 @@ def test_prox_table_bad_parameter_exits_1(tmp_path, flag, value):
     ("certify-point", "--point", '["a"]'),
     *(("certify", flag, value) for flag in ("--alpha", "--beta", "--v")
       for value in ("-1", "0", "nan", "inf")),
+    *(("certify-point", flag, value) for flag in ("--fo-tol", "--so-tol")
+      for value in ("-1", "nan", "inf")),
 ])
 def test_certify_bad_parameter_exits_1(tmp_path, capsys, command, flag, value):
     out = str(tmp_path)

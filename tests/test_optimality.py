@@ -12,15 +12,18 @@ from lpreg import (
     growth_probe,
     objective,
 )
-from lpreg.errors import ValidationError
+from lpreg.errors import PolishError, ValidationError
+from lpreg.experiments import reference_solution
 from lpreg.optimality import (
     CLASS_INDEFINITE,
     CLASS_LOCAL_MIN,
     CLASS_NOT_CRITICAL,
     CLASS_ZERO,
     default_probe_delta,
+    polish_local_minimum,
     second_order_matrix,
 )
+from lpreg.solvers import Schedule, SolverConfig, default_stepsize, runner
 
 
 def test_classify_zero_point(one_dim):
@@ -46,8 +49,8 @@ def test_classify_one_dim_noncritical(one_dim):
     assert_allclose(report.first_order_residual, 1.5, rtol=1e-12)
 
 
-def test_classify_indefinite_critical(one_dim):
-    # the smaller positive stationary point is a local max of F
+def _one_dim_local_max():
+    """The smaller positive stationary point of one_dim's F, a local max."""
     lo, hi = 1e-6, 0.5
     f = lambda t: 2.0 * (t - 2.0) + 0.5 * t ** -0.5
     for _ in range(200):
@@ -56,10 +59,23 @@ def test_classify_indefinite_critical(one_dim):
             lo = mid
         else:
             hi = mid
-    t_max = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def test_classify_indefinite_critical(one_dim):
+    t_max = _one_dim_local_max()
     report = classify_point(one_dim, [t_max], fo_tol=1e-6)
     assert report.classification == CLASS_INDEFINITE
     assert report.second_order_min_eig < 0
+
+
+def test_classify_nan_tolerance_fails_closed():
+    prob = Problem(A=[[1.0, 0.3], [0.2, 1.0]], b=[2.0, 1.0], lam=0.5, p=0.5)
+    report = classify_point(prob, [1.0, 0.5], fo_tol=math.nan)
+    assert report.first_order_residual > 1.0
+    assert report.classification == CLASS_NOT_CRITICAL
+    report = classify_point(prob, [1.0, 0.5], fo_tol=10.0, so_tol=math.nan)
+    assert report.classification == CLASS_INDEFINITE
 
 
 def test_second_order_matrix_symmetric_eigenpair(small_instance):
@@ -233,3 +249,40 @@ def test_classify_converged_pga_limit(small_instance):
                             fo_tol=10.0 * 1e-10 / v)
     assert report.classification in (CLASS_LOCAL_MIN, CLASS_INDEFINITE)
     assert report.first_order_residual <= 10.0 * 1e-10 / v
+
+
+# ---------------------------------------------------------------------------
+# The Newton polish that gives the rate fits their x* and F*.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("algo, inexact", [
+    ("pga", None),
+    ("ipga1p", Schedule.geometric(0.1, 0.5)),
+    ("ipga2p", Schedule.geometric(0.3, 0.7)),
+])
+def test_reference_solution_is_the_limit_of_a_tight_run(small_instance, algo,
+                                                        inexact):
+    prob, _ = small_instance
+    x_star, f_star = reference_solution(prob, algo=algo, inexact=inexact)
+    tight = runner(algo)(prob, SolverConfig(
+        v=default_stepsize(prob), inexact=inexact or Schedule.zero(),
+        stop_tol=1e-13, max_iters=200_000))
+    assert tight.converged
+    assert np.linalg.norm(x_star - tight.final_iterate) <= 1e-10
+    assert abs(f_star - tight.f_values[-1]) <= 1e-15 * abs(f_star)
+    assert f_star == objective(prob, x_star)
+    assert classify_point(prob, x_star).classification == CLASS_LOCAL_MIN
+
+
+def test_polish_raises_at_an_indefinite_critical_point(one_dim):
+    with pytest.raises(PolishError, match=r"support \(0,\).*lambda_min\(M\) = -"):
+        polish_local_minimum(one_dim, [_one_dim_local_max()])
+
+
+def test_polish_of_zero_is_zero():
+    # lambda large enough that PGA never leaves x = 0
+    prob = Problem(A=[[1.0, 0.5], [0.0, 1.0]], b=[2.0, -1.0], lam=100.0, p=0.5)
+    assert np.array_equal(polish_local_minimum(prob, [0.0, 0.0]), [0.0, 0.0])
+    x_star, f_star = reference_solution(prob)
+    assert np.array_equal(x_star, [0.0, 0.0])
+    assert f_star == 5.0

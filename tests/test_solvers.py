@@ -404,51 +404,6 @@ def test_trace_bookkeeping_matches_public_functions(small_instance, algo):
         assert trace.support_sizes[k] == len(trace.supports[k])
 
 
-def _assert_same_trace(cut, real):
-    for f in dataclasses.fields(IterationTrace):
-        a, b = getattr(cut, f.name), getattr(real, f.name)
-        if f.name in ("iterates", "coord_certified", "coord_bounds") and b is not None:
-            assert len(a) == len(b), f.name
-            assert all(np.array_equal(x, y) for x, y in zip(a, b)), f.name
-        else:
-            assert a == b, f.name
-
-
-@pytest.mark.parametrize("algo", ["pga", "ipga1p", "ipga2p"])
-def test_cut_of_a_tighter_run_equals_the_run(small_instance, algo):
-    prob, _ = small_instance
-    cfg = SolverConfig(v=default_stepsize(prob),
-                       inexact=Schedule.geometric(0.1, 0.5))
-    run = solvers.runner(algo)
-    ref = run(prob, dataclasses.replace(cfg, stop_tol=1e-13, max_iters=200_000))
-    real = run(prob, cfg)
-    assert real.converged and len(real) < len(ref)
-    _assert_same_trace(solvers._cut(ref, cfg), real)
-    short = dataclasses.replace(cfg, max_iters=5)
-    cut = solvers._cut(ref, short)
-    assert len(cut) == 6 and cut.converged is False
-    _assert_same_trace(cut, run(prob, short))
-
-
-def test_cut_at_an_exact_fixed_point(one_dim):
-    # stop_tol 0 runs on until a step is exactly zero
-    ref = run_pga(one_dim, SolverConfig(v=0.4, stop_tol=0.0))
-    assert ref.converged and ref.step_norms[-1] > 0.0
-    n = len(ref.step_norms)
-    # max_iters n stops before the zero step, n + 1 takes it
-    for max_iters, converged in ((n, False), (n + 1, True)):
-        cfg = SolverConfig(v=0.4, stop_tol=0.0, max_iters=max_iters)
-        cut = solvers._cut(ref, cfg)
-        assert cut.converged is converged
-        _assert_same_trace(cut, run_pga(one_dim, cfg))
-    # from x0 = t* the reference takes no step at all
-    t_star = ref.final_iterate
-    ref = run_pga(one_dim, SolverConfig(v=0.4, stop_tol=1e-13), x0=t_star)
-    assert len(ref) == 1 and ref.converged
-    cfg = SolverConfig(v=0.4)
-    _assert_same_trace(solvers._cut(ref, cfg), run_pga(one_dim, cfg, x0=t_star))
-
-
 # ---------------------------------------------------------------------------
 # The working set: every iterate of the solvers runs on the columns J, and
 # must equal the loop that runs on all n columns.
