@@ -12,10 +12,16 @@ of eps_k and a tail ratio below 1 can only be decided symbolically for the
 closed-form geometric schedules; for raw sequences the reports carry
 tail-sum diagnostics instead of a verdict.
 
-All checks allow a small absolute slack (default 1e-9) covering IEEE
-rounding of the objective differences and the scalar prox root tolerance.
-They fail closed: a step whose comparison involves a NaN or an infinity is
-a violation, reported with an infinite excess.
+Every per-step inequality here, and the solvers' inexactness controls,
+goes through one pass rule, ``solvers._violations``: step k passes iff
+both sides are finite and lhs <= rhs + slack.  The checks therefore fail
+closed: a NaN or an infinity is a violation, reported with an infinite
+excess, and sides that do not pair up step for step raise
+ValidationError.  H1 and H2 use the absolute slack DESCENT_SLACK = 1e-9,
+which covers IEEE rounding of the objective differences and the scalar
+prox root tolerance; the controls use CONTROL_SLACK * (1 + |rhs|) with
+CONTROL_SLACK = 1e-12.  The geometric-recursion check states its rounding
+margins in the compared sides.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 from .errors import ValidationError
 from .problem import Problem, spectral_norm_sq, spectral_upper_bound
 from .prox import lower_bound
-from .solvers import IterationTrace, Schedule
+from .solvers import DESCENT_SLACK, IterationTrace, Schedule, _violations
 
 __all__ = [
     "ConditionReport",
@@ -42,8 +48,6 @@ __all__ = [
     "fit_series",
     "detect_support_identification",
 ]
-
-DEFAULT_SLACK = 1e-9
 
 
 @dataclass
@@ -61,39 +65,30 @@ class ConditionReport:
     symbolic_summable: bool | None = None
 
 
-def _eps_diagnostics(eps_sq):
+def _eps(seq, n_steps: int) -> list[float]:
+    """The first ``n_steps`` entries of an eps sequence that has them."""
+    seq = list(seq)
+    if len(seq) < n_steps:
+        raise ValidationError(
+            f"eps sequence has {len(seq)} entries, trace has {n_steps} steps")
+    return seq[:n_steps]
+
+
+def _report(condition: str, lhs, rhs, constant: float, eps_sq,
+            symbolic: bool | None = None) -> ConditionReport:
+    """Step k of ``condition`` compares lhs[k] with rhs[k] at DESCENT_SLACK;
+    ``eps_sq`` gives the eps tail-sum diagnostics."""
+    violations, worst, worst_idx = _violations(lhs, rhs, DESCENT_SLACK)
     total = math.fsum(eps_sq)
-    if total <= 0.0:
-        return total, 0.0
-    tail = math.fsum(eps_sq[len(eps_sq) // 2:])
-    return total, tail / total
-
-
-def _scan(lhs_seq, rhs_seq, slack: float):
-    """Violating steps, worst excess and its step, step k comparing
-    ``lhs_seq[k]`` with ``rhs_seq[k]``.
-
-    The excess is lhs - rhs, or inf when either side is not finite (fails
-    closed).  The worst excess is 0.0, at no step, when there are no steps.
-    """
-    violations = []
-    worst = -math.inf
-    worst_idx = None
-    for k, (lhs, rhs) in enumerate(zip(lhs_seq, rhs_seq)):
-        finite = math.isfinite(lhs) and math.isfinite(rhs)
-        excess = lhs - rhs if finite else math.inf
-        if excess > worst:
-            worst, worst_idx = excess, k
-        if excess > slack:
-            violations.append(k)
-    return violations, worst if worst_idx is not None else 0.0, worst_idx
+    tail_frac = math.fsum(eps_sq[len(eps_sq) // 2:]) / total if total > 0.0 else 0.0
+    return ConditionReport(condition, not violations, violations, worst,
+                           worst_idx, constant, total, tail_frac, symbolic)
 
 
 def certify_h1(
     trace: IterationTrace,
     alpha: float,
     eps_sq=None,
-    slack: float = DEFAULT_SLACK,
     schedule: Schedule | None = None,
 ) -> ConditionReport:
     """Check the sufficient-decrease condition along a trace.
@@ -106,31 +101,15 @@ def certify_h1(
     n_steps = len(trace.step_norms)
     if eps_sq is None:
         eps_sq = trace.eps_values if trace.eps_kind == "value" else [0.0] * n_steps
-    eps_sq = list(eps_sq)
-    if len(eps_sq) < n_steps:
-        raise ValidationError(
-            f"eps sequence has {len(eps_sq)} entries, trace has {n_steps} steps"
-        )
+    eps_sq = _eps(eps_sq, n_steps)
     f = trace.f_values
-    violations, worst, worst_idx = _scan(
+    return _report(
+        "sufficient-decrease",
         [b - a for a, b in zip(f, f[1:])],
         [-alpha * s ** 2 + e for s, e in zip(trace.step_norms, eps_sq)],
-        slack)
-    total, tail_frac = _eps_diagnostics(eps_sq[:n_steps])
-    symbolic = None
-    if schedule is not None:
-        symbolic = schedule.rho < 1.0  # then sum eps_k^2 < inf and ratio < 1
-    return ConditionReport(
-        condition="sufficient-decrease",
-        ok=not violations,
-        violations=violations,
-        worst_violation=worst,
-        worst_index=worst_idx,
-        constant=alpha,
-        eps_sum_sq=total,
-        eps_tail_fraction=tail_frac,
-        symbolic_summable=symbolic,
-    )
+        alpha, eps_sq,
+        # rho < 1 gives sum eps_k^2 < inf and a tail ratio below 1
+        None if schedule is None else schedule.rho < 1.0)
 
 
 def estimate_beta(prob: Problem, trace: IterationTrace, v_lo: float) -> float:
@@ -167,19 +146,16 @@ def certify_h2(
     prob: Problem,
     trace: IterationTrace,
     beta: float | str = "auto",
-    eps_seq=None,
-    slack: float = DEFAULT_SLACK,
     v_lo: float | None = None,
 ) -> ConditionReport:
     """Check the relative-error condition along a trace.
 
     The minimal-norm subgradient norms are the trace's stored residuals
     (recomputed from iterates by the solvers); step k pairs the residual at
-    x^{k+1} with ||x^{k+1} - x^k||.
+    x^{k+1} with ||x^{k+1} - x^k||.  eps_k is the trace's distance
+    certificate for run_ipga_2p traces and 0 otherwise.
     """
     n_steps = len(trace.step_norms)
-    if len(trace.residuals) < n_steps + 1:
-        raise ValidationError("trace does not store per-iterate residuals")
     if beta == "auto":
         if v_lo is None:
             if not trace.stepsizes:
@@ -187,31 +163,13 @@ def certify_h2(
             v_lo = min(trace.stepsizes)
         beta = estimate_beta(prob, trace, v_lo)
     beta = float(beta)
-    if eps_seq is None:
-        if trace.eps_kind == "dist":
-            eps_seq = trace.eps_values
-        else:
-            eps_seq = [0.0] * n_steps
-    eps_seq = list(eps_seq)
-    if len(eps_seq) < n_steps:
-        raise ValidationError(
-            f"eps sequence has {len(eps_seq)} entries, trace has {n_steps} steps"
-        )
-    violations, worst, worst_idx = _scan(
+    eps = _eps(trace.eps_values if trace.eps_kind == "dist" else [0.0] * n_steps,
+               n_steps)
+    return _report(
+        "relative-error",
         trace.residuals[1:],
-        [beta * s + e for s, e in zip(trace.step_norms, eps_seq)],
-        slack)
-    total, tail_frac = _eps_diagnostics([e * e for e in eps_seq[:n_steps]])
-    return ConditionReport(
-        condition="relative-error",
-        ok=not violations,
-        violations=violations,
-        worst_violation=worst,
-        worst_index=worst_idx,
-        constant=beta,
-        eps_sum_sq=total,
-        eps_tail_fraction=tail_frac,
-    )
+        [beta * s + e for s, e in zip(trace.step_norms, eps)],
+        beta, [e * e for e in eps])
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +217,10 @@ def check_geometric_recursion(a_seq, delta_seq, eta: float) -> RecursionCertific
     if len(d) < len(a) - 1:
         raise ValidationError("delta sequence too short for the recursion check")
 
-    fail_index = None
-    for k in range(len(a) - 1):
-        rhs = eta * a[k] + d[k]
-        if a[k + 1] > rhs * (1.0 + 4e-16) + 5e-324:
-            fail_index = k
-            break
+    a_arr, prev = np.array(a), np.array(a[:-1])
+    recursion = (eta * prev + np.array(d[:len(prev)])) * (1.0 + 4e-16)
+    fails = _violations(a_arr[1:], recursion, 5e-324)[0]
+    fail_index = fails[0] if fails else None
 
     # tail ratio of delta: find the first index after which ratios stay < 1
     ratios = []
@@ -315,13 +271,10 @@ def check_geometric_recursion(a_seq, delta_seq, eta: float) -> RecursionCertific
         base = max(base, a[1] / (c[0] + theta))
     K = base * math.exp(csum / theta)
 
-    dom_fail = None
-    bound = K
-    for k in range(len(a)):
-        if a[k] > bound * (1.0 + 1e-12):
-            dom_fail = k
-            break
-        bound *= theta
+    # K theta^k by repeated multiplication, K, K theta, (K theta) theta, ...
+    bound = np.cumprod([K] + [theta] * len(a))[:len(a)]
+    fails = _violations(a_arr, bound * (1.0 + 1e-12), 0.0)[0]
+    dom_fail = fails[0] if fails else None
     return RecursionCertificate(
         hypothesis_ok=True, fail_index=None,
         K=K, theta=theta, tau=tau, tail_start=tail_start,

@@ -174,11 +174,6 @@ def _solve_family(algo: str, inexact: solvers.Schedule):
     return artifacts, f_stars
 
 
-def _monotone(f_values, f0_scale):
-    tol = 1e-12 * (1.0 + f0_scale)
-    return all(f_values[k + 1] <= f_values[k] + tol for k in range(len(f_values) - 1))
-
-
 def fit_tail_rate(trace, f_star, n_hat):
     """Geometric fit over the certified tail of a trace.
 
@@ -210,9 +205,11 @@ def exp_pga_linear() -> ExperimentResult:
         n_hat = analysis.detect_support_identification(trace)
         fit = fit_tail_rate(trace, f_star, n_hat)
         resid = trace.residuals[-1]
+        f = trace.f_values
         checks = {
             "converged": bool(trace.converged),
-            "monotone": _monotone(trace.f_values, trace.f_values[0]),
+            "monotone": not solvers._violations(f[1:], f[:-1],
+                                                1e-12 * (1.0 + f[0]))[0],
             "support_identified": n_hat is not None,
             "residual_ok": resid <= 1e-7,
             "eta_in_range": 0.0 < fit.eta_hat < 1.0,

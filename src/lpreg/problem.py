@@ -14,7 +14,6 @@ inequalities and relies on this.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -212,8 +211,8 @@ def generate_instance(
         raise ValidationError(f"sparsity s={s} must satisfy 0 <= s <= n={n}")
     if m < 1 or n < 1:
         raise ValidationError("m and n must be >= 1")
-    if noise < 0:
-        raise ValidationError("noise level must be nonnegative")
+    if not (0.0 <= noise < math.inf):  # NaN fails too
+        raise ValidationError(f"noise level must be finite and nonnegative, got {noise}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n)) / math.sqrt(m)
     x0 = np.zeros(n)
@@ -242,14 +241,26 @@ def generate_instance(
 _REQUIRED_KEYS = ("m", "n", "p", "lambda", "A", "b")
 
 
-_float_array = functools.partial(np.asarray, dtype=np.float64)
-
-
 def _integer(value) -> int:
     """A JSON integer as is; a float, a string or a boolean is an error."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a string or a boolean is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _float_array(value) -> np.ndarray:
+    """JSON numbers as a float64 array; strings or booleans are an error."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"expected numbers, got {arr.ravel()[:1].tolist()[0]!r}")
+    return arr.astype(np.float64, copy=False)
 
 
 def _field(data, key, convert, shape=None):
@@ -259,7 +270,7 @@ def _field(data, key, convert, shape=None):
     """
     try:
         value = convert(data[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"field {key!r}: {exc}") from exc
     if shape is not None and value.shape != shape:
         raise ProblemFormatError(f"{key} has shape {value.shape}, header says {shape}")
@@ -284,7 +295,7 @@ def load_problem(path) -> Problem:
     weights = None
     if data.get("weights") is not None:
         weights = _field(data, "weights", _float_array, (n,))
-    lam, p = _field(data, "lambda", float), _field(data, "p", float)
+    lam, p = _field(data, "lambda", _number), _field(data, "p", _number)
     try:
         return Problem(A=A, b=b, lam=lam, p=p, weights=weights)
     except (ValidationError, DimensionMismatchError) as exc:
@@ -315,12 +326,14 @@ TRACE_HEADER = ("k", "F", "step_norm", "residual", "support_size", "eps_k")
 
 def save_trace(path, trace) -> None:
     """Write a per-iteration trace as CSV (see module header for format)."""
-    rows = trace.csv_rows()
+    # the final iterate has no successor step: 0.0 placeholders
+    rows = zip(trace.f_values, trace.step_norms + [0.0], trace.residuals,
+               trace.support_sizes, trace.eps_values + [0.0], strict=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for row in rows:
-            writer.writerow([row[0]] + [f"{v:.17g}" for v in row[1:]])
+        writer.writerows([k] + [f"{v:.17g}" for v in row]
+                         for k, row in enumerate(rows))
 
 
 def load_trace(path):
@@ -356,8 +369,8 @@ def load_trace(path):
             steps.append(step)
             resids.append(resid)
             eps.append(e)
-    # The CSV stores a 0.0 placeholder on the final row; drop it so the
-    # step/eps sequences have one entry per actual step.
+    # drop the final row's 0.0 placeholders (save_trace): the step and eps
+    # sequences have one entry per actual step
     return IterationTrace(
         iterates=None,
         f_values=f_vals,

@@ -245,16 +245,49 @@ class IterationTrace:
             raise ValidationError("trace does not store iterates")
         return self.iterates[-1]
 
-    def csv_rows(self):
-        rows = []
-        for k in range(len(self.f_values)):
-            step = self.step_norms[k] if k < len(self.step_norms) else 0.0
-            eps = self.eps_values[k] if k < len(self.eps_values) else 0.0
-            rows.append(
-                (k, self.f_values[k], step, self.residuals[k],
-                 self.support_sizes[k], eps)
-            )
-        return rows
+
+# The slacks of the pass rule.  H1 and H2 compare differences of F and
+# prox roots, whose rounding is absolute; the inexactness controls compare
+# gaps and distances with their bounds, at CONTROL_SLACK * (1 + |rhs|).
+DESCENT_SLACK = 1e-9
+CONTROL_SLACK = 1e-12
+
+
+def _violations(lhs, rhs, slack: float, relative: bool = False):
+    """The one pass rule: the failing steps, the worst excess and its step.
+
+    Step k compares ``lhs[k]`` with ``rhs[k]``, two numbers or two rows of
+    numbers.  A comparison passes iff both sides are finite and lhs <= rhs
+    + slack, the slack being ``slack``, or slack * (1 + |rhs|) when
+    ``relative``; a step passes iff all its comparisons do.  The excess is
+    lhs - rhs, inf where a side is not finite; the worst is the largest, at
+    its first step, or 0.0 at step None when there are no steps.  Sides of
+    different shapes raise ValidationError, so that no step goes unchecked.
+    H1 and H2 pass DESCENT_SLACK; the controls pass CONTROL_SLACK, relative.
+    """
+    lhs = np.asarray(lhs, dtype=np.float64)
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if lhs.shape != rhs.shape:
+        raise ValidationError(
+            f"compared sides have shapes {lhs.shape} and {rhs.shape}")
+    if len(lhs) == 0:
+        return [], 0.0, None
+    rows = tuple(range(1, lhs.ndim))  # the comparisons of one step
+    # in-place masks and one temporary the size of the sides, the bound and
+    # then the excess: the controls' sides are steps x n
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(lhs)
+        finite &= np.isfinite(rhs)
+        bound = rhs + (slack * (1.0 + np.abs(rhs)) if relative else slack)
+        ok = lhs <= bound
+        ok &= finite
+        failing = np.flatnonzero(~ok.all(axis=rows))
+        del ok
+        excess = np.subtract(lhs, rhs, out=bound)
+    excess[~finite] = math.inf
+    excess = excess.max(axis=rows)
+    k = int(np.argmax(excess))
+    return failing.tolist(), float(excess[k]), k
 
 
 def _evaluate(prob: Problem, r, grad, xs, lam):
@@ -493,9 +526,10 @@ def runner(algo: str):
     return {"pga": run_pga, "ipga1p": run_ipga_1p, "ipga2p": run_ipga_2p}[algo]
 
 
-def _control_violations(trace: IterationTrace, schedule: Schedule, kind: str,
-                        rel_slack: float = 1e-12) -> list[int]:
-    """Steps whose inexactness certificates fail; non-finite values fail.
+def _control_violations(trace: IterationTrace, schedule: Schedule,
+                        kind: str) -> list[int]:
+    """Steps whose inexactness certificates fail ``_violations``' rule at
+    the relative CONTROL_SLACK.
 
     Step k fails when a coordinate's certified gap or distance
     ``coord_certified[k]`` exceeds its bound ``coord_bounds[k]``, or when
@@ -504,38 +538,33 @@ def _control_violations(trace: IterationTrace, schedule: Schedule, kind: str,
     """
     if trace.coord_certified is None or trace.eps_kind != kind:
         raise ValidationError(f"trace carries no {kind} certificates")
-    if not trace.step_norms:
-        return []
     steps = np.array(trace.step_norms)
     limit = np.array([schedule.value(k) for k in range(len(steps))])
     aggregate = limit * (steps ** 2 if kind == "value" else steps)
-    # one row per step: the coordinates' certificates, then the aggregate
-    lhs = np.column_stack([np.array(trace.coord_certified), trace.eps_values])
-    rhs = np.column_stack([np.array(trace.coord_bounds), aggregate])
-    ok = (np.isfinite(lhs) & np.isfinite(rhs)
-          & (lhs <= rhs + rel_slack * (1.0 + np.abs(rhs))))
-    return np.flatnonzero(~ok.all(axis=1)).tolist()
+    coords = _violations(trace.coord_certified, trace.coord_bounds,
+                         CONTROL_SLACK, relative=True)[0]
+    total = _violations(trace.eps_values, aggregate, CONTROL_SLACK,
+                        relative=True)[0]
+    return sorted(set(coords).union(total))
 
 
-def certify_value_control(trace: IterationTrace, tau: Schedule,
-                          rel_slack: float = 1e-12):
+def certify_value_control(trace: IterationTrace, tau: Schedule):
     """Check the value certificates of a run_ipga_1p trace.
 
     Every coordinate's gap must fit its own budget tau_k (x_i^{k+1} -
     x_i^k)^2 and the summed gaps tau_k ||step_k||^2.  Returns (all_ok,
     list of violating k).
     """
-    bad = _control_violations(trace, tau, "value", rel_slack)
+    bad = _control_violations(trace, tau, "value")
     return not bad, bad
 
 
-def certify_dist_control(trace: IterationTrace, t: Schedule,
-                         rel_slack: float = 1e-12):
+def certify_dist_control(trace: IterationTrace, t: Schedule):
     """Check the distance certificates of a run_ipga_2p trace.
 
     Every coordinate's distance must fit t_k |x_i^{k+1} - x_i^k| and the
     aggregate ||d^k|| must fit t_k ||step_k||.  Returns (all_ok, list of
     violating k).
     """
-    bad = _control_violations(trace, t, "dist", rel_slack)
+    bad = _control_violations(trace, t, "dist")
     return not bad, bad

@@ -111,6 +111,24 @@ def test_h2_detects_violation(one_dim):
     assert not report.ok
 
 
+@pytest.mark.parametrize("n_values", [2, 3, 5])
+def test_certify_rejects_unpaired_steps(n_values):
+    # F values and residuals need one entry more than the 3 step norms;
+    # unpaired steps must not drop out of the check and pass
+    values = [1.0, 0.5, 0.25, 0.125, 0.0625][:n_values]
+    paired = [1.0, 0.5, 0.25, 0.125]
+    h1_trace = IterationTrace(algo="fake", f_values=values, step_norms=[0.1] * 3,
+                              eps_values=[0.0] * 3, support_sizes=[1] * 4,
+                              residuals=paired)
+    h2_trace = dataclasses.replace(h1_trace, f_values=paired, residuals=values)
+    with pytest.raises(ValidationError, match="shapes"):
+        certify_h1(h1_trace, alpha=1.0)
+    with pytest.raises(ValidationError, match="shapes"):
+        certify_h2(None, h2_trace, beta=1.0)
+    assert certify_h1(h2_trace, alpha=1.0).ok
+    assert certify_h2(None, h1_trace, beta=10.0).ok
+
+
 def test_estimate_beta_floor_without_iterates(small_instance):
     prob, _ = small_instance
     trace = _fake_trace([1.0, 0.9], [0.1])

@@ -82,6 +82,14 @@ def test_prox_table_bad_parameter_exits_1(tmp_path, flag, value):
                    flag, value) == 1
 
 
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+def test_generate_bad_noise_exits_1(tmp_path, capsys, noise):
+    assert run_cli("--out-dir", str(tmp_path), "--quiet", "generate",
+                   "--noise", noise) == 1
+    assert "noise level must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "problem.json").exists()
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("certify", "--alpha", "abc"),
     ("certify", "--beta", "abc"),

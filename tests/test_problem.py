@@ -157,6 +157,9 @@ def test_generate_sparsity():
 def test_generate_invalid_dims():
     with pytest.raises(ValidationError):
         generate_instance(seed=1, m=4, n=3, s=5)
+    for noise in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="noise level"):
+            generate_instance(seed=1, m=4, n=3, s=1, noise=noise)
 
 
 def test_problem_validation():
@@ -230,6 +233,13 @@ def test_problem_file_invalid_p(tmp_path):
     ("m", 1.9, "field 'm': expected an integer, got 1.9"),
     ("m", 1.0, "field 'm': expected an integer, got 1.0"),
     ("n", True, "field 'n': expected an integer, got True"),
+    ("lambda", True, "field 'lambda': expected a number, got True"),
+    ("p", "0.5", "field 'p': expected a number, got '0.5'"),
+    ("A", [["1.5"]], "field 'A': expected numbers, got '1.5'"),
+    ("A", [[True]], "field 'A': expected numbers, got True"),
+    ("b", ["3"], "field 'b': expected numbers, got '3'"),
+    ("weights", [False], "field 'weights': expected numbers, got False"),
+    ("lambda", 10**400, "field 'lambda': int too large to convert to float"),
 ])
 def test_problem_file_malformed_field(tmp_path, key, value, message):
     path = tmp_path / "bad.json"

@@ -18,6 +18,7 @@ from lpreg import (
     run_ipga_1p,
     run_ipga_2p,
     run_pga,
+    save_trace,
     spectral_norm_sq,
 )
 from lpreg import solvers
@@ -283,6 +284,32 @@ def test_control_checks_pass_within_bounds():
 def test_control_checks_fail_closed_on_nan():
     trace = _control_trace("value", [0.01, np.nan], [0.1, 0.1], np.nan)
     assert certify_value_control(trace, Schedule.geometric(0.5, 0.5)) == (False, [0])
+    trace = _control_trace("dist", [0.01, 0.02], [0.1, np.inf], 0.03)
+    assert certify_dist_control(trace, Schedule.geometric(0.5, 0.5)) == (False, [0])
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_violations_pass_rule(relative):
+    # step k passes iff both sides are finite and lhs <= rhs + slack
+    slack, rhs = 1e-9, 0.3
+    edge = rhs + (slack * (1.0 + abs(rhs)) if relative else slack)
+    above = float(np.nextafter(edge, np.inf))
+
+    def check(lhs, r):
+        return solvers._violations(lhs, r, slack, relative)
+
+    assert check([edge], [rhs]) == ([], edge - rhs, 0)
+    assert check([above], [rhs]) == ([0], above - rhs, 0)
+    for lhs, r in ((np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (-np.inf, 0.0),
+                   (0.0, np.inf), (0.0, -np.inf), (np.inf, np.inf)):
+        assert check([0.0, lhs], [1.0, r]) == ([1], np.inf, 1)
+    assert check([], []) == ([], 0.0, None)
+    # a step of several comparisons fails if any one of them does
+    assert check([[0.0, 0.0], [0.0, 2.0], [0.5, 0.0]],
+                 [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]) == ([1], 1.0, 1)
+    for lhs, r in (([0.0], [0.0, 1.0]), ([[0.0, 1.0]], [0.0, 1.0])):
+        with pytest.raises(ValidationError, match="shapes"):
+            check(lhs, r)
 
 
 def test_control_checks_each_coordinate():
@@ -316,12 +343,17 @@ def test_residual_random_noncritical(small_instance):
     assert resid > 0.0
 
 
-def test_trace_csv_rows(one_dim):
+def test_trace_csv_rows(one_dim, tmp_path):
     trace = run_pga(one_dim, SolverConfig(v=0.4, max_iters=5))
-    rows = trace.csv_rows()
-    assert len(rows) == len(trace)
-    assert rows[-1][2] == 0.0  # final row has no successor step
+    path = tmp_path / "trace.csv"
+    save_trace(path, trace)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert rows[0] == ["k", "F", "step_norm", "residual", "support_size", "eps_k"]
+    assert len(rows) == len(trace) + 1
     assert all(len(r) == 6 for r in rows)
+    for k, row in enumerate(rows[1:]):
+        assert row[0] == str(k) and float(row[1]) == trace.f_values[k]
+    assert rows[-1][2] == rows[-1][5] == "0"  # final row has no successor step
 
 
 def test_schedule_family():
