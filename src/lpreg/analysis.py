@@ -260,16 +260,25 @@ def check_geometric_recursion(a_seq, delta_seq, eta: float) -> RecursionCertific
         N = tail_start
         c = []
         for i in range(len(d)):
-            if i < N:
-                c.append(d[i] / tau**i)
-            else:
-                c.append(tau ** (i - 2 * N) * d[N])
+            try:
+                c.append(d[i] / tau**i if i < N else tau ** (i - 2 * N) * d[N])
+            except (OverflowError, ZeroDivisionError):  # tau^k out of range
+                c.append(math.inf)
+            if c[-1] == math.inf:
+                raise ValidationError(
+                    f"c_{i} = delta_k / tau^k overflows (tau = {tau!r}, "
+                    f"tail start {N})")
     theta = max(eta, tau)
-    csum = math.fsum(c)
     base = max(1.0, a[0] if a else 1.0)
     if len(a) > 1 and (c[0] + theta) > 0:
         base = max(base, a[1] / (c[0] + theta))
-    K = base * math.exp(csum / theta)
+    try:
+        K = base * math.exp(math.fsum(c) / theta)
+    except OverflowError:
+        K = math.inf
+    if K == math.inf:
+        raise ValidationError(
+            f"K = {base!r} * exp(sum(c) / theta) overflows (theta = {theta!r})")
 
     # K theta^k by repeated multiplication, K, K theta, (K theta) theta, ...
     bound = np.cumprod([K] + [theta] * len(a))[:len(a)]

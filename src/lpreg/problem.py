@@ -13,6 +13,7 @@ inequalities and relies on this.
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import math
@@ -62,6 +63,9 @@ class Problem:
     weights: np.ndarray | None = None
     # per-coordinate weights (uniform ``lam`` when no weights given), read-only
     lambda_vec: np.ndarray = field(init=False, repr=False, compare=False)
+    # ||A||^2 once spectral_norm_sq has computed it; dataclasses.replace
+    # builds a new instance, which starts without it
+    _a_sq: float | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_readonly(np.atleast_2d(self.A))
@@ -76,8 +80,9 @@ class Problem:
             raise DimensionMismatchError(
                 f"b has shape {b.shape}, expected ({A.shape[0]},)"
             )
-        if not np.isfinite(A).all() or not np.isfinite(b).all():
-            raise ValidationError("A and b must be finite")
+        for name, arr in (("A", A), ("b", b)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} must be finite")
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValidationError(f"lambda must be positive, got {self.lam}")
         if not (0.0 < self.p < 1.0):
@@ -180,11 +185,14 @@ def spectral_norm_sq(prob: Problem) -> float:
     nonzero eigenvalues, and the smaller one is never larger than A itself.
     The result is exact up to rounding of order max(m, n) * eps * ||A||^2,
     which ``spectral_upper_bound`` covers while max(m, n) stays below about
-    4e5 (eps = 2.2e-16).
+    4e5 (eps = 2.2e-16).  A is read-only, so the value is computed once per
+    Problem and kept on it.
     """
-    A = prob.A
-    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    return float(np.linalg.eigvalsh(G)[-1])
+    if prob._a_sq is None:
+        A = prob.A
+        G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+        object.__setattr__(prob, "_a_sq", float(np.linalg.eigvalsh(G)[-1]))
+    return prob._a_sq
 
 
 def spectral_upper_bound(a_sq: float) -> float:
@@ -228,9 +236,14 @@ def generate_instance(
 # ---------------------------------------------------------------------------
 # File formats.
 #
-# Problem file: UTF-8 JSON object with keys "m", "n", "p", "lambda",
-# optional "weights" (length n), "A" (m rows of n numbers, row-major),
-# "b" (length m).
+# Problem file: UTF-8 JSON object with sorted keys "m", "n", "p",
+# "lambda", optional "weights" (length n), "A" (m x n) and "b" (length m).
+# "m", "n", "p" and "lambda" are JSON numbers.  Each array is read in
+# either of two forms: a JSON list of numbers (A as m rows of n), or a
+# string holding the base64 of its little-endian float64 bytes in
+# row-major order, whose shape is the header's.  save_problem writes the
+# string form: it is exact, and reading it builds no Python float per
+# entry.
 #
 # Trace file: CSV with header k,F,step_norm,residual,support_size,eps_k;
 # one row per recorded iterate, numbers with 17 significant digits.  The
@@ -255,8 +268,16 @@ def _number(value) -> float:
     return float(value)
 
 
-def _float_array(value) -> np.ndarray:
-    """JSON numbers as a float64 array; strings or booleans are an error."""
+def _float_array(value, shape) -> np.ndarray:
+    """A field's array of the given ``shape``: a JSON list of numbers, or
+    the base64 string of its float64 bytes; strings in a list, booleans,
+    invalid base64 and a byte count other than the shape's are errors."""
+    if isinstance(value, str):
+        raw, size = base64.b64decode(value, validate=True), 8 * math.prod(shape)
+        if len(raw) != size:
+            raise ValueError(f"payload holds {len(raw)} bytes, header shape "
+                             f"{shape} needs {size}")
+        return np.frombuffer(raw, dtype="<f8").reshape(shape)
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"expected numbers, got {arr.ravel()[:1].tolist()[0]!r}")
@@ -264,12 +285,13 @@ def _float_array(value) -> np.ndarray:
 
 
 def _field(data, key, convert, shape=None):
-    """``convert(data[key])``, of the header's ``shape`` when one is given.
+    """``convert(data[key])``, or ``convert(data[key], shape)`` for an array
+    of the header's ``shape``, whose shape it then checks.
 
     A value that fails either is a ProblemFormatError naming the field.
     """
     try:
-        value = convert(data[key])
+        value = convert(data[key]) if shape is None else convert(data[key], shape)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"field {key!r}: {exc}") from exc
     if shape is not None and value.shape != shape:
@@ -302,20 +324,23 @@ def load_problem(path) -> Problem:
         raise ProblemFormatError(str(exc)) from exc
 
 
+def _payload(arr: np.ndarray) -> str:
+    """The base64 of an array's little-endian float64 bytes, row-major."""
+    return base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
 def save_problem(path, prob: Problem) -> None:
-    """Write a problem instance to its JSON file (shortest round-trip floats)."""
+    """Write a problem instance to its JSON file, arrays as exact bytes."""
     data = {
         "m": prob.m,
         "n": prob.n,
         "p": float(prob.p),
         "lambda": float(prob.lam),
-        "A": prob.A.tolist(),
-        "b": prob.b.tolist(),
+        "A": _payload(prob.A),
+        "b": _payload(prob.b),
     }
     if prob.weights is not None:
-        data["weights"] = prob.weights.tolist()
-    # json.dumps runs the C encoder on the whole object; json.dump streams
-    # through the pure-Python one.  Both write the same bytes.
+        data["weights"] = _payload(prob.weights)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(data, indent=None, separators=(",", ":"), sort_keys=True))
         fh.write("\n")

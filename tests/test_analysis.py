@@ -225,6 +225,14 @@ def test_recursion_validation():
                          (a, d[:3] + [math.nan] + d[4:])):
         with pytest.raises(ValidationError, match="finite"):
             check_geometric_recursion(a_seq, d_seq, eta=0.6)
+    # a long stalled head before a fast tail puts K, or a c_k, past the
+    # float range
+    with pytest.raises(ValidationError, match=r"K = .* overflows"):
+        check_geometric_recursion([0.0] * 79, [1.0] * 50 + [0.01**k for k in range(1, 30)],
+                                  eta=0.5)
+    with pytest.raises(ValidationError, match=r"c_\d+ = delta_k / tau\^k overflows"):
+        check_geometric_recursion([0.0] * 89, [1.0] * 60 + [1e-13**k for k in range(1, 30)],
+                                  eta=0.5)
 
 
 def test_fit_series_exact_geometric():

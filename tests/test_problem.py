@@ -1,5 +1,8 @@
+import base64
+import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -104,6 +107,10 @@ def test_spectral_norm_closed_form():
     prob = Problem(A=[[1.0, 1.0], [0.0, 1.0]], b=[0.0, 0.0], lam=1, p=0.5)
     assert_allclose(spectral_norm_sq(prob), (3.0 + math.sqrt(5.0)) / 2.0,
                     rtol=1e-9)
+    # the value is kept on the instance; a replaced A starts afresh
+    assert spectral_norm_sq(prob) == spectral_norm_sq(prob)
+    scaled = dataclasses.replace(prob, A=2.0 * prob.A)
+    assert_allclose(spectral_norm_sq(scaled), 2.0 * (3.0 + math.sqrt(5.0)), rtol=1e-9)
 
 
 def test_spectral_norm_never_overestimates():
@@ -189,22 +196,41 @@ def test_problem_file_roundtrip(tmp_path):
         assert loaded.lam == prob.lam and loaded.p == prob.p
 
 
+def _b64(values) -> str:
+    """The base64 of little-endian doubles, packed by struct, not numpy."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
 def test_problem_file_bytes_equal_a_streamed_json_dump(tmp_path):
     prob, _ = generate_instance(seed=3, m=4, n=6, s=2, noise=0.05, lam=0.3, p=0.6)
     weighted = Problem(A=prob.A, b=prob.b, lam=1 / 3, p=0.1 + 0.2,
                        weights=[5e-324, 1 / 3, 0.1 + 0.2, 1.7976931348623157e308,
                                 1.0, 2.0])
     for prob in (prob, weighted):
+        rows = prob.A.tolist()
         data = {"m": prob.m, "n": prob.n, "p": prob.p, "lambda": prob.lam,
-                "A": prob.A.tolist(), "b": prob.b.tolist()}
+                "A": _b64([x for row in rows for x in row]), "b": _b64(prob.b.tolist())}
         if prob.weights is not None:
-            data["weights"] = prob.weights.tolist()
+            data["weights"] = _b64(prob.weights.tolist())
         ref = tmp_path / "ref.json"
         with open(ref, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=None, separators=(",", ":"), sort_keys=True)
             fh.write("\n")
         save_problem(tmp_path / "prob.json", prob)
         assert (tmp_path / "prob.json").read_bytes() == ref.read_bytes()
+
+
+def test_problem_file_list_form_loads_as_the_written_form(tmp_path):
+    prob, _ = generate_instance(seed=3, m=4, n=6, s=2, noise=0.05, lam=0.3, p=0.6)
+    prob = Problem(A=prob.A, b=prob.b, lam=0.3, p=0.6, weights=np.linspace(0.5, 2.0, 6))
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({"m": 4, "n": 6, "p": 0.6, "lambda": 0.3,
+                                  "A": prob.A.tolist(), "b": prob.b.tolist(),
+                                  "weights": prob.weights.tolist()}))
+    save_problem(tmp_path / "written.json", prob)
+    for loaded in (load_problem(listed), load_problem(tmp_path / "written.json")):
+        for name in ("A", "b", "weights"):
+            assert getattr(loaded, name).tobytes() == getattr(prob, name).tobytes()
 
 
 def test_problem_file_missing_field(tmp_path):
@@ -240,6 +266,15 @@ def test_problem_file_invalid_p(tmp_path):
     ("b", ["3"], "field 'b': expected numbers, got '3'"),
     ("weights", [False], "field 'weights': expected numbers, got False"),
     ("lambda", 10**400, "field 'lambda': int too large to convert to float"),
+    ("A", "!!!!", "field 'A': Only base64 data is allowed"),
+    ("b", "AAA", "field 'b': Incorrect padding"),
+    ("weights", "é", "field 'weights': string argument should contain only ASCII"),
+    ("A", _b64([1.0])[:-4], r"field 'A': payload holds 6 bytes, header shape \(1, 1\) needs 8"),
+    ("b", _b64([1.0, 2.0]), r"field 'b': payload holds 16 bytes, header shape \(1,\) needs 8"),
+    ("weights", "", r"field 'weights': payload holds 0 bytes"),
+    ("A", _b64([math.nan]), "A must be finite"),
+    ("b", _b64([math.inf]), "b must be finite"),
+    ("weights", _b64([-math.inf]), "weights must be finite"),
 ])
 def test_problem_file_malformed_field(tmp_path, key, value, message):
     path = tmp_path / "bad.json"
