@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .problem import Problem, spectral_norm_sq, spectral_upper_bound
+from .problem import Problem, spectral_upper_bound
 from .prox import lower_bound
 from .solvers import DESCENT_SLACK, IterationTrace, Schedule, _violations
 
@@ -116,19 +116,18 @@ def estimate_beta(prob: Problem, trace: IterationTrace, v_lo: float) -> float:
     """Relative-error constant estimated from the trace tail.
 
     beta = 1/v_lo + 2 ||A||^2 + max_i lambda_i p (1-p) |x_i|^{p-2}, with the
-    last factor taken over the support coordinates of the tail iterates.
-    Without stored iterates the scalar-prox magnitude floor bounds
-    |x_i|^{p-2} from above, which keeps the estimate conservative.
+    last factor taken over the support values of the tail iterates (the
+    later half of ``trace.values``).  Without stored iterates the
+    scalar-prox magnitude floor bounds |x_i|^{p-2} from above, which keeps
+    the estimate conservative.
     """
-    a_sq = spectral_upper_bound(spectral_norm_sq(prob))
+    a_sq = spectral_upper_bound(prob)
     p = prob.p
     min_mag = math.inf
-    if trace.iterates is not None and len(trace.iterates) > 1:
-        # one copy of the tail, made absolute in place; zeros do not count
-        tail = np.array(trace.iterates[len(trace.iterates) // 2:])
-        np.abs(tail, out=tail)
-        tail[tail == 0.0] = math.inf
-        min_mag = float(tail.min())
+    values = trace.values
+    if values is not None and len(values) > 1:
+        tail = np.abs(np.concatenate(values[len(values) // 2:]))
+        min_mag = float(tail.min(initial=math.inf, where=tail != 0.0))
     if math.isinf(min_mag):
         min_mag = lower_bound(v_lo, prob.lambda_lower, p)
     lam_max = float(prob.lambda_vec.max())
@@ -368,10 +367,9 @@ def fit_rate(
     elif quantity == "iterate-distance":
         if x_star is None:
             raise ValidationError("iterate-distance fitting needs x_star")
-        if trace.iterates is None:
-            raise ValidationError("trace does not store iterates")
         x_star = np.asarray(x_star, dtype=np.float64)
-        series = [float(np.linalg.norm(x - x_star)) for x in trace.iterates]
+        series = [float(np.linalg.norm(trace.iterate(k) - x_star))
+                  for k in range(len(trace))]
     else:
         raise ValidationError(f"unknown quantity {quantity!r}")
     series = [max(v, 0.0) for v in series]

@@ -208,7 +208,7 @@ def cmd_certify(args) -> tuple[int, dict | None]:
     prob = problem.load_problem(args.problem)
     trace = problem.load_trace(args.trace)
     v_lo = args.v if args.v is not None else solvers.default_stepsize(prob)
-    a_sq = problem.spectral_upper_bound(problem.spectral_norm_sq(prob))
+    a_sq = problem.spectral_upper_bound(prob)
     if args.alpha == "auto":
         alpha = 1.0 / (2.0 * v_lo) - a_sq
     else:

@@ -48,12 +48,13 @@ def _as_readonly(a, dtype=np.float64):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """Immutable instance data (A, b, lambda, p, optional weights).
 
     ``weights`` holds per-coordinate regularization weights; absent means the
-    uniform weight ``lam`` for every coordinate.
+    uniform weight ``lam`` for every coordinate.  Instances compare by
+    identity: an elementwise ``==`` of the arrays has no single truth value.
     """
 
     A: np.ndarray
@@ -62,10 +63,10 @@ class Problem:
     p: float
     weights: np.ndarray | None = None
     # per-coordinate weights (uniform ``lam`` when no weights given), read-only
-    lambda_vec: np.ndarray = field(init=False, repr=False, compare=False)
+    lambda_vec: np.ndarray = field(init=False, repr=False)
     # ||A||^2 once spectral_norm_sq has computed it; dataclasses.replace
     # builds a new instance, which starts without it
-    _a_sq: float | None = field(init=False, default=None, repr=False, compare=False)
+    _a_sq: float | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         A = _as_readonly(np.atleast_2d(self.A))
@@ -195,8 +196,9 @@ def spectral_norm_sq(prob: Problem) -> float:
     return prob._a_sq
 
 
-def spectral_upper_bound(a_sq: float) -> float:
-    """A computed ||A||^2 plus its rounding margin SPECTRAL_TOL * max(1, a_sq)."""
+def spectral_upper_bound(prob: Problem) -> float:
+    """||A||^2 plus its rounding margin SPECTRAL_TOL * max(1, ||A||^2)."""
+    a_sq = spectral_norm_sq(prob)
     return a_sq + SPECTRAL_TOL * max(1.0, a_sq)
 
 
@@ -397,11 +399,9 @@ def load_trace(path):
     # drop the final row's 0.0 placeholders (save_trace): the step and eps
     # sequences have one entry per actual step
     return IterationTrace(
-        iterates=None,
         f_values=f_vals,
         step_norms=steps[:-1],
         eps_values=eps[:-1],
-        supports=None,
         support_sizes=sizes,
         residuals=resids,
         converged=None,

@@ -87,7 +87,6 @@ from .problem import (
     _gradient_at,
     _objective_at,
     _residual,
-    spectral_norm_sq,
     spectral_upper_bound,
 )
 from .prox import _Prepared, _prox_select, prox_inexact_value
@@ -106,7 +105,6 @@ __all__ = [
     "certify_dist_control",
 ]
 
-STORE_ITERATES_MAX_N = 10**4
 EPS = float(np.finfo(float).eps)
 
 
@@ -139,7 +137,7 @@ class Schedule:
 
 def default_stepsize(prob: Problem) -> float:
     """Constant stepsize 0.495 / ||A||^2, safely inside the admissible interval."""
-    return 0.495 / spectral_upper_bound(spectral_norm_sq(prob))
+    return 0.495 / spectral_upper_bound(prob)
 
 
 @dataclass(frozen=True)
@@ -186,8 +184,8 @@ class SolverConfig:
         return self.v[k] if k < len(self.v) else self.v[-1]
 
     def validate(self, prob: Problem) -> None:
-        """Check v_hi < 1/(2 spectral_upper_bound(||A||^2)); raise StepsizeError."""
-        a_sq = spectral_upper_bound(spectral_norm_sq(prob))
+        """Check v_hi < 1/(2 spectral_upper_bound(prob)); raise StepsizeError."""
+        a_sq = spectral_upper_bound(prob)
         bound = 0.5 / a_sq
         if not (self.v_hi < bound):
             raise StepsizeError(
@@ -205,10 +203,13 @@ class IterationTrace:
     fewer).  ``eps_values[k]`` is the certified scalar inexactness consumed
     by step k: the summed value gaps for run_ipga_1p, the Euclidean norm of
     the per-coordinate distances for run_ipga_2p, 0 for run_pga.
-    ``iterates`` is stored when n <= STORE_ITERATES_MAX_N.
-    ``working_set_sizes`` has |J| per iterate and ``refreshes`` the iterates
-    that made a full product A^T r; ``full_products`` and
-    ``mean_working_set`` sum them up.
+    Iterate k is its support ``supports[k]`` (sorted) with ``values[k]``
+    there, and ``iterate(k)`` builds it dense.  Step k's per-coordinate
+    certificates and bounds (inexact variants) are rows on that step's
+    working set ``coord_sets[k]``, one array shared until the next
+    refresh; they are 0 on every other column.  ``working_set_sizes`` has
+    |J| per iterate and ``refreshes`` the iterates that made a full
+    product A^T r; ``full_products`` and ``mean_working_set`` sum them up.
     """
 
     algo: str
@@ -217,11 +218,13 @@ class IterationTrace:
     eps_values: list[float]
     support_sizes: list[int]
     residuals: list[float]
-    iterates: list[np.ndarray] | None = None
+    n: int | None = None
     supports: list[tuple[int, ...]] | None = None
+    values: list[np.ndarray] | None = None
     converged: bool | None = None
     stepsizes: list[float] | None = None
     eps_kind: str = "none"
+    coord_sets: list[np.ndarray] | None = None
     coord_certified: list[np.ndarray] | None = None
     coord_bounds: list[np.ndarray] | None = None
     working_set_sizes: list[int] | None = None
@@ -239,11 +242,17 @@ class IterationTrace:
         sizes = self.working_set_sizes
         return None if not sizes else sum(sizes) / len(sizes)
 
+    def iterate(self, k: int) -> np.ndarray:
+        """Iterate k as a new dense n-vector."""
+        if self.values is None:
+            raise ValidationError("trace does not store iterates")
+        x = np.zeros(self.n)
+        x[list(self.supports[k])] = self.values[k]
+        return x
+
     @property
     def final_iterate(self) -> np.ndarray:
-        if self.iterates is None:
-            raise ValidationError("trace does not store iterates")
-        return self.iterates[-1]
+        return self.iterate(-1)
 
 
 # The slacks of the pass rule.  H1 and H2 compare differences of F and
@@ -273,21 +282,12 @@ def _violations(lhs, rhs, slack: float, relative: bool = False):
     if len(lhs) == 0:
         return [], 0.0, None
     rows = tuple(range(1, lhs.ndim))  # the comparisons of one step
-    # in-place masks and one temporary the size of the sides, the bound and
-    # then the excess: the controls' sides are steps x n
     with np.errstate(all="ignore"):
-        finite = np.isfinite(lhs)
-        finite &= np.isfinite(rhs)
-        bound = rhs + (slack * (1.0 + np.abs(rhs)) if relative else slack)
-        ok = lhs <= bound
-        ok &= finite
-        failing = np.flatnonzero(~ok.all(axis=rows))
-        del ok
-        excess = np.subtract(lhs, rhs, out=bound)
-    excess[~finite] = math.inf
-    excess = excess.max(axis=rows)
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        ok = finite & (lhs <= rhs + (slack * (1.0 + np.abs(rhs)) if relative else slack))
+        excess = np.where(finite, lhs - rhs, math.inf).max(axis=rows)
     k = int(np.argmax(excess))
-    return failing.tolist(), float(excess[k]), k
+    return np.flatnonzero(~ok.all(axis=rows)).tolist(), float(excess[k]), k
 
 
 def _evaluate(prob: Problem, r, grad, xs, lam):
@@ -360,8 +360,8 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
     ``kernel.lam``), and returns the next iterate, the step's eps and the
     per-coordinate certificates and bounds on J.  Without ``perturb`` the
     exact prox is the next iterate.  The trace holds F, the support and the
-    residual from one evaluation per iterate, and iterates and certificates
-    scattered back to length n.
+    residual from one evaluation per iterate, each iterate as its support
+    values, and certificates on J.
     """
     config.validate(prob)
     n = prob.n
@@ -373,24 +373,15 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
             raise ValidationError(f"x0 has shape {x.shape}, expected ({n},)")
         if not np.isfinite(x).all():
             raise ValidationError("x0 must be finite")
-    store = n <= STORE_ITERATES_MAX_N
     keep_coords = perturb is not None
     trace = IterationTrace(
         algo=algo, f_values=[], step_norms=[], eps_values=[],
-        support_sizes=[], residuals=[], iterates=[] if store else None,
-        supports=[], stepsizes=[], eps_kind=eps_kind,
+        support_sizes=[], residuals=[], n=n, supports=[], values=[],
+        stepsizes=[], eps_kind=eps_kind,
+        coord_sets=[] if keep_coords else None,
         coord_certified=[] if keep_coords else None,
         coord_bounds=[] if keep_coords else None,
         working_set_sizes=[], refreshes=[])
-
-    def full(vec_j):
-        # the loop writes into no vector it has made, so one on every
-        # column is kept as it is
-        if len(vec_j) == n:
-            return vec_j
-        out = np.zeros(n)
-        out[J] = vec_j
-        return out
 
     cols = _columns(prob.A)  # row j is column j of A, for every product
     col_norm = np.sqrt(np.vecdot(cols, cols))
@@ -416,15 +407,17 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
             if new_v:
                 prepared = _Prepared(v, prob.lambda_vec, prob.p)
             grad = _gradient_at(cols, r)
-            x_full, support = full(x_j), J[pos]
+            support = J[pos]
             J, rho = _working_set(
                 _radii(prepared, grad, col_norm, _norm(r), gamma), support)
+            pos = np.searchsorted(J, support)  # J holds the support
+            x_j = np.zeros(len(J))
+            x_j[pos] = xs
             if len(J) == n:  # nothing to copy
-                x_j, cols_j = x_full, cols
+                cols_j = cols
             else:
-                x_j, cols_j, grad = x_full[J], cols[J], grad[J]
+                cols_j, grad = cols[J], grad[J]
             kernel, r_ref = prepared.restrict(J), r
-            pos = x_j.nonzero()[0]
             pos_key = pos.tobytes()  # A_s holds the same columns
             trace.refreshes.append(k)
         else:
@@ -434,9 +427,8 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         trace.support_sizes.append(len(pos))
         trace.supports.append(tuple(J[pos].tolist()))
         trace.residuals.append(resid)
+        trace.values.append(xs)
         trace.working_set_sizes.append(len(J))
-        if store:
-            trace.iterates.append(full(x_j))
         if converged or k == config.max_iters:
             break
         z = x_j - v * grad
@@ -455,8 +447,9 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         trace.eps_values.append(eps)
         trace.stepsizes.append(v)
         if keep_coords:
-            trace.coord_certified.append(full(certified))
-            trace.coord_bounds.append(full(bounds))
+            trace.coord_sets.append(J)
+            trace.coord_certified.append(certified)
+            trace.coord_bounds.append(bounds)
         x_j = x_new
         converged = step_norm <= config.stop_tol
     trace.converged = converged
@@ -534,15 +527,24 @@ def _control_violations(trace: IterationTrace, schedule: Schedule,
     Step k fails when a coordinate's certified gap or distance
     ``coord_certified[k]`` exceeds its bound ``coord_bounds[k]``, or when
     the step's aggregate eps_k exceeds tau_k ||step_k||^2 (``kind``
-    "value") or t_k ||step_k|| (``kind`` "dist").
+    "value") or t_k ||step_k|| (``kind`` "dist").  The coordinates outside
+    step k's ``coord_sets[k]`` have certificate and bound 0, which pass.
     """
     if trace.coord_certified is None or trace.eps_kind != kind:
         raise ValidationError(f"trace carries no {kind} certificates")
+    sizes = [len(cols) for cols in trace.coord_sets]
+    if not ([len(c) for c in trace.coord_certified] == sizes
+            == [len(b) for b in trace.coord_bounds]):
+        raise ValidationError("certificate rows do not match their columns")
     steps = np.array(trace.step_norms)
     limit = np.array([schedule.value(k) for k in range(len(steps))])
     aggregate = limit * (steps ** 2 if kind == "value" else steps)
-    coords = _violations(trace.coord_certified, trace.coord_bounds,
-                         CONTROL_SLACK, relative=True)[0]
+    # every step's rows in one check; entry i belongs to the step whose
+    # rows end first after it
+    failing = _violations(np.concatenate([np.zeros(0), *trace.coord_certified]),
+                          np.concatenate([np.zeros(0), *trace.coord_bounds]),
+                          CONTROL_SLACK, relative=True)[0]
+    coords = np.searchsorted(np.cumsum(sizes), failing, side="right").tolist()
     total = _violations(trace.eps_values, aggregate, CONTROL_SLACK,
                         relative=True)[0]
     return sorted(set(coords).union(total))

@@ -83,9 +83,8 @@ def test_criterion_2_magnitude_law(prox_pin, pga_linear):
                                 exp.artifacts["configs"],
                                 exp.artifacts["traces"]):
         bound = lower_bound(cfg.v_lo, prob.lambda_lower, prob.p) - 1e-12
-        for x in trace.iterates[1:]:
-            nz = np.abs(x[x != 0.0])
-            if nz.size and nz.min() < bound:
+        for xs in trace.values[1:]:
+            if xs.size and np.abs(xs).min() < bound:
                 violations += 1
     assert violations == 0
     print("\nACCEPTANCE 2 nonzero-magnitude-law: PASS (0 violations)")

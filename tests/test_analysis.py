@@ -142,21 +142,22 @@ def test_estimate_beta_is_the_minimum_over_the_tail(small_instance):
     prob, _ = small_instance
     v = default_stepsize(prob)
     trace = run_pga(prob, SolverConfig(v=v))
-    min_mag = min(float(np.abs(x[x != 0.0]).min())
-                  for x in trace.iterates[len(trace.iterates) // 2:] if x.any())
-    expected = (1.0 / v + 2.0 * spectral_upper_bound(spectral_norm_sq(prob))
+    tail = [trace.iterate(k) for k in range(len(trace) // 2, len(trace))]
+    min_mag = min(float(np.abs(x[x != 0.0]).min()) for x in tail if x.any())
+    expected = (1.0 / v + 2.0 * spectral_upper_bound(prob)
                 + float(prob.lambda_vec.max()) * prob.p * (1.0 - prob.p)
                 * min_mag ** (prob.p - 2.0))
     assert estimate_beta(prob, trace, v) == expected
     floor = estimate_beta(prob, _fake_trace([1.0, 0.9], [0.1]), v)
-    trace.iterates = [np.zeros(prob.n)] * 3
+    trace.values = [np.zeros(2)] * 3
     assert estimate_beta(prob, trace, v) == floor
 
 
 def test_estimate_beta_tiny_tail_magnitude_raises_validation_error():
     prob = Problem(A=np.eye(2), b=np.ones(2), lam=1.0, p=0.5)
     trace = _fake_trace([1.0, 0.9], [0.1])
-    trace.iterates = [np.array([1.0, 0.0]), np.array([1e-300, 0.0])]
+    trace.n, trace.supports = 2, [(0,), (0,)]
+    trace.values = [np.array([1.0]), np.array([1e-300])]
     with pytest.raises(ValidationError, match="1e-300"):
         estimate_beta(prob, trace, v_lo=0.1)
 
@@ -280,7 +281,7 @@ def test_fit_rate_needs_reference(small_instance):
         fit_rate(trace, "objective-gap")
     with pytest.raises(ValidationError):
         fit_rate(trace, "iterate-distance")
-    bare = dataclasses.replace(trace, iterates=None)
+    bare = dataclasses.replace(trace, values=None)
     with pytest.raises(ValidationError):
         fit_rate(bare, "iterate-distance", x_star=np.zeros(prob.n))
 

@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from lpreg import ProxQuery, load_problem, load_trace, prox_scalar, spectral_norm_sq
+from lpreg import (
+    ProxQuery,
+    SolverConfig,
+    default_stepsize,
+    load_problem,
+    load_trace,
+    prox_scalar,
+    run_pga,
+    spectral_norm_sq,
+)
 from lpreg.cli import main
 
 
@@ -171,8 +180,28 @@ def test_loaded_trace_certifies(tmp_path):
     run_cli("--out-dir", out, "--quiet", "solve",
             "--problem", str(tmp_path / "p.json"), "--trace-out", "t.csv")
     trace = load_trace(tmp_path / "t.csv")
-    assert trace.iterates is None
+    assert trace.values is None and trace.supports is None
     assert len(trace.step_norms) == len(trace.f_values) - 1
+
+
+def test_solve_certify_rate_above_ten_thousand_columns(tmp_path):
+    # traces keep each iterate as its support values at every n, so the
+    # final iterate that rate's reference polish starts from exists here too
+    out, path = str(tmp_path), str(tmp_path / "p.json")
+    assert run_cli("--out-dir", out, "--quiet", "generate", "--seed", "1",
+                   "--m", "50", "--n", "10001", "--s", "3", "--out", "p.json") == 0
+    assert run_cli("--out-dir", out, "--quiet", "solve", "--algo", "pga",
+                   "--problem", path, "--trace-out", "t.csv") == 0
+    trace_path = str(tmp_path / "t.csv")
+    assert run_cli("--out-dir", out, "--quiet", "certify",
+                   "--trace", trace_path, "--problem", path) == 0
+    assert run_cli("--out-dir", out, "--quiet", "rate",
+                   "--trace", trace_path, "--problem", path) == 0
+    prob = load_problem(path)
+    trace = run_pga(prob, SolverConfig(v=default_stepsize(prob)))
+    x = trace.final_iterate
+    assert x.shape == (10001,)
+    assert tuple(np.flatnonzero(x).tolist()) == trace.supports[-1]
 
 
 def test_certify_eps_from_trace(tmp_path):

@@ -113,6 +113,14 @@ def test_spectral_norm_closed_form():
     assert_allclose(spectral_norm_sq(scaled), 2.0 * (3.0 + math.sqrt(5.0)), rtol=1e-9)
 
 
+def test_problems_compare_by_identity():
+    # an elementwise == of the arrays has no single truth value
+    prob = Problem(A=np.eye(2), b=np.ones(2), lam=0.1, p=0.5)
+    assert (prob == dataclasses.replace(prob, lam=0.3)) is False
+    assert prob == prob
+    assert hash(prob) == hash(prob)
+
+
 def test_spectral_norm_never_overestimates():
     rng = np.random.default_rng(11)
     for _ in range(20):

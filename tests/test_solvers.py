@@ -80,10 +80,9 @@ def test_pga_nonzero_magnitude_law(small_instance):
     v = default_stepsize(prob)
     trace = run_pga(prob, SolverConfig(v=v))
     bound = lower_bound(v, prob.lambda_lower, prob.p) - 1e-12
-    for x in trace.iterates[1:]:
-        nz = np.abs(x[x != 0.0])
-        if nz.size:
-            assert nz.min() >= bound
+    for xs in trace.values[1:]:
+        if xs.size:
+            assert np.abs(xs).min() >= bound
 
 
 def test_pga_deterministic(small_instance):
@@ -92,7 +91,7 @@ def test_pga_deterministic(small_instance):
     t1 = run_pga(prob, cfg)
     t2 = run_pga(prob, cfg)
     assert t1.f_values == t2.f_values
-    assert all(np.array_equal(a, b) for a, b in zip(t1.iterates, t2.iterates))
+    assert all(np.array_equal(t1.iterate(k), t2.iterate(k)) for k in range(len(t1)))
 
 
 def test_stepsize_validation_cites_bound(small_instance):
@@ -119,8 +118,8 @@ def test_ipga1p_zero_schedule_identical(small_instance):
     exact = run_pga(prob, SolverConfig(v=v))
     inexact = run_ipga_1p(prob, SolverConfig(v=v, inexact=Schedule.zero()))
     assert exact.f_values == inexact.f_values
-    assert all(np.array_equal(a, b)
-               for a, b in zip(exact.iterates, inexact.iterates))
+    assert all(np.array_equal(exact.iterate(k), inexact.iterate(k))
+               for k in range(len(exact)))
 
 
 def test_ipga2p_zero_schedule_identical(small_instance):
@@ -158,9 +157,9 @@ def test_ipga1p_per_coordinate_control(small_instance):
 def _exact_prox_steps(prob, trace):
     """Each step's start x^k, exact prox y* of its gradient step, and x^{k+1}."""
     for k, v in enumerate(trace.stepsizes):
-        x = trace.iterates[k]
+        x = trace.iterate(k)
         y_star, _ = prox_vector(x - v * gradient_smooth(prob, x), v, prob)
-        yield k, v, x, y_star, trace.iterates[k + 1]
+        yield k, v, x, y_star, trace.iterate(k + 1)
 
 
 @pytest.mark.parametrize("run", [run_pga, run_ipga_2p])
@@ -195,7 +194,7 @@ def test_stepsize_sequence_rebuilds_the_prox_constants(small_instance, monkeypat
     assert trace.stepsizes == [cfg.stepsize(k) for k in range(len(trace.stepsizes))]
     assert len(calls) >= len(trace.step_norms) > 3
     for k, (z, kernel, y_star) in enumerate(calls[:len(trace.step_norms)]):
-        x, v_k, cols = trace.iterates[k], kernel.v, kernel.cols
+        x, v_k, cols = trace.iterate(k), kernel.v, kernel.cols
         assert v_k == cfg.stepsize(k)
         z_full = x - v_k * gradient_smooth(prob, x)
         y_full = prox_vector(z_full, v_k, prob)[0]
@@ -203,7 +202,7 @@ def test_stepsize_sequence_rebuilds_the_prox_constants(small_instance, monkeypat
         assert y_star.tobytes() == y_full[cols].tobytes(), k
         assert np.count_nonzero(y_full) == np.count_nonzero(y_star), k
         if run is run_pga:
-            assert y_full.tobytes() == trace.iterates[k + 1].tobytes()
+            assert y_full.tobytes() == trace.iterate(k + 1).tobytes()
     assert min(kernel.cols.size for _, kernel, _ in calls) < prob.n
 
 
@@ -259,18 +258,20 @@ def test_ipga2p_leaves_zero_selections_unperturbed(small_instance):
     trace = run_ipga_2p(prob, SolverConfig(v=default_stepsize(prob),
                                            inexact=t_sched))
     tiny = np.finfo(float).tiny
-    for x in trace.iterates:
-        assert not np.any((x != 0.0) & (np.abs(x) < tiny))
+    for xs in trace.values:
+        assert not np.any(np.abs(xs) < tiny)
     assert np.isfinite(trace.residuals).all()
     h2 = certify_h2(prob, trace, beta="auto")  # eps_k from the trace
     assert h2.ok, (h2.worst_index, h2.worst_violation)
 
 
-def _control_trace(kind, certified, bounds, eps):
+def _control_trace(kind, certified, bounds, eps, cols=(2, 5)):
+    # one step whose certificates are rows on its working set J = cols
     return IterationTrace(
         algo="fake", f_values=[1.0, 0.5], step_norms=[1.0], eps_values=[eps],
         support_sizes=[2, 2], residuals=[0.0, 0.0], eps_kind=kind,
-        coord_certified=[np.array(certified)], coord_bounds=[np.array(bounds)],
+        coord_sets=[np.array(cols)], coord_certified=[np.array(certified)],
+        coord_bounds=[np.array(bounds)],
     )
 
 
@@ -317,6 +318,19 @@ def test_control_checks_each_coordinate():
     # its own bound
     trace = _control_trace("dist", [0.2, 0.0], [0.1, 0.5], 0.2)
     assert certify_dist_control(trace, Schedule.geometric(0.5, 0.5)) == (False, [0])
+    # rows of several steps, J shared by the last two: an excess is charged
+    # to the step whose row holds it
+    wide, narrow = np.array([0, 1, 4]), np.array([4])
+    trace = IterationTrace(
+        algo="fake", f_values=[1.0, 0.8, 0.7, 0.65], step_norms=[1.0] * 3,
+        eps_values=[0.0] * 3, support_sizes=[1] * 4, residuals=[0.0] * 4,
+        eps_kind="dist", coord_sets=[wide, narrow, narrow],
+        coord_certified=[np.zeros(3), np.zeros(1), np.array([0.2])],
+        coord_bounds=[np.full(3, 0.1), np.full(1, 0.1), np.full(1, 0.1)])
+    assert certify_dist_control(trace, Schedule.geometric(0.5, 0.5)) == (False, [2])
+    trace.coord_bounds[0] = np.full(2, 0.1)
+    with pytest.raises(ValidationError, match="columns"):
+        certify_dist_control(trace, Schedule.geometric(0.5, 0.5))
 
 
 def test_ipga2p_rejects_large_t():
@@ -406,14 +420,6 @@ def test_weighted_problem_matches_rescaled_run():
     assert np.array_equal(np.flatnonzero(mapped), np.flatnonzero(tw.final_iterate))
 
 
-def test_store_iterates_disabled(small_instance, monkeypatch):
-    prob, _ = small_instance
-    monkeypatch.setattr(solvers, "STORE_ITERATES_MAX_N", prob.n - 1)
-    trace = run_pga(prob, SolverConfig(v=default_stepsize(prob), max_iters=50))
-    assert trace.iterates is None
-    assert len(trace.f_values) == len(trace.support_sizes)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_run_pga_rejects_non_finite_x0(small_instance, bad):
     prob, _ = small_instance
@@ -429,8 +435,9 @@ def test_trace_bookkeeping_matches_public_functions(small_instance, algo):
     cfg = SolverConfig(v=default_stepsize(prob),
                        inexact=Schedule.geometric(0.1, 0.5))
     trace = solvers.runner(algo)(prob, cfg)
-    assert len(trace.iterates) == len(trace) > 2
-    for k, x in enumerate(trace.iterates):
+    assert len(trace.values) == len(trace) > 2
+    for k in range(len(trace)):
+        x = trace.iterate(k)
         assert trace.f_values[k] == objective(prob, x)
         assert (trace.residuals[k], trace.supports[k]) == residual_on_support(prob, x)
         assert trace.support_sizes[k] == len(trace.supports[k])
@@ -531,7 +538,7 @@ def test_working_set_run_equals_the_full_vector_loop(algo, case):
     trace = solvers.runner(algo)(prob, cfg)
     iterates, step_norms, certified, bounds = _full_vector_run(prob, cfg, algo)
     for k, x in enumerate(iterates):
-        assert trace.iterates[k].tobytes() == x.tobytes(), k
+        assert trace.iterate(k).tobytes() == x.tobytes(), k
         assert trace.supports[k] == tuple(np.flatnonzero(x).tolist()), k
         assert trace.f_values[k] == objective(prob, x), k
     assert len(trace) == len(iterates)
@@ -539,9 +546,14 @@ def test_working_set_run_equals_the_full_vector_loop(algo, case):
     # the solver's step norm sums over J, the reference's over all n
     assert_allclose(trace.step_norms, step_norms, rtol=4e-16, atol=0.0)
     if algo != "pga":
-        for k in range(len(certified)):
-            assert trace.coord_certified[k].tobytes() == certified[k].tobytes(), k
-            assert trace.coord_bounds[k].tobytes() == bounds[k].tobytes(), k
+        assert len(trace.coord_sets) == len(certified)
+        for k, cols in enumerate(trace.coord_sets):
+            off = np.ones(prob.n, dtype=bool)
+            off[cols] = False
+            for row, ref in ((trace.coord_certified[k], certified[k]),
+                             (trace.coord_bounds[k], bounds[k])):
+                assert row.tobytes() == ref[cols].tobytes(), k
+                assert not ref[off].any(), k  # 0 off J
     # a new stepsize rebuilds the kernel constants, so it refreshes J
     changes = [k for k in range(1, len(trace.stepsizes))
                if trace.stepsizes[k] != trace.stepsizes[k - 1]]
