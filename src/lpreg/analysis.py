@@ -7,10 +7,11 @@ nonnegative inexactness sequence eps_k, are
                                                  + eps_k^2,
     relative error:       ||w^{k+1}|| <= beta ||x^{k+1}-x^k|| + eps_k,
 
-with w^{k+1} the minimal-norm subgradient at x^{k+1}.  Square summability
-of eps_k and a tail ratio below 1 can only be decided symbolically for the
-closed-form geometric schedules; for raw sequences the reports carry
-tail-sum diagnostics instead of a verdict.
+with w^{k+1} the minimal-norm subgradient at x^{k+1}.  A trace's eps_k
+come from its own certificates: value gaps enter H1 as eps_k^2, distance
+norms enter H2 as eps_k, and exact runs have none.  Every geometric
+``Schedule`` has ratio below 1, so its eps_k are square summable; the
+reports carry the tail-sum diagnostics of the sequence they check.
 
 Every per-step inequality here, and the solvers' inexactness controls,
 goes through one pass rule, ``solvers._violations``: step k passes iff
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import ValidationError
 from .problem import Problem, spectral_upper_bound
 from .prox import lower_bound
-from .solvers import DESCENT_SLACK, IterationTrace, Schedule, _violations
+from .solvers import DESCENT_SLACK, IterationTrace, _violations
 
 __all__ = [
     "ConditionReport",
@@ -62,7 +63,6 @@ class ConditionReport:
     constant: float
     eps_sum_sq: float
     eps_tail_fraction: float
-    symbolic_summable: bool | None = None
 
 
 def _eps(seq, n_steps: int) -> list[float]:
@@ -74,29 +74,26 @@ def _eps(seq, n_steps: int) -> list[float]:
     return seq[:n_steps]
 
 
-def _report(condition: str, lhs, rhs, constant: float, eps_sq,
-            symbolic: bool | None = None) -> ConditionReport:
+def _report(condition: str, lhs, rhs, constant: float, eps_sq) -> ConditionReport:
     """Step k of ``condition`` compares lhs[k] with rhs[k] at DESCENT_SLACK;
     ``eps_sq`` gives the eps tail-sum diagnostics."""
     violations, worst, worst_idx = _violations(lhs, rhs, DESCENT_SLACK)
     total = math.fsum(eps_sq)
     tail_frac = math.fsum(eps_sq[len(eps_sq) // 2:]) / total if total > 0.0 else 0.0
     return ConditionReport(condition, not violations, violations, worst,
-                           worst_idx, constant, total, tail_frac, symbolic)
+                           worst_idx, constant, total, tail_frac)
 
 
 def certify_h1(
     trace: IterationTrace,
     alpha: float,
     eps_sq=None,
-    schedule: Schedule | None = None,
 ) -> ConditionReport:
     """Check the sufficient-decrease condition along a trace.
 
     ``eps_sq`` is the sequence of eps_k^2 terms; by default the trace's own
-    certified value gaps are used (zero for exact runs).  The eps tail-sum
-    diagnostic and, when a ``schedule`` is supplied, the symbolic
-    square-summability verdict ride along in the report.
+    certified value gaps are used (zero for other runs).  The eps tail-sum
+    diagnostic rides along in the report.
     """
     n_steps = len(trace.step_norms)
     if eps_sq is None:
@@ -107,9 +104,7 @@ def certify_h1(
         "sufficient-decrease",
         [b - a for a, b in zip(f, f[1:])],
         [-alpha * s ** 2 + e for s, e in zip(trace.step_norms, eps_sq)],
-        alpha, eps_sq,
-        # rho < 1 gives sum eps_k^2 < inf and a tail ratio below 1
-        None if schedule is None else schedule.rho < 1.0)
+        alpha, eps_sq)
 
 
 def estimate_beta(prob: Problem, trace: IterationTrace, v_lo: float) -> float:

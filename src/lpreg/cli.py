@@ -139,12 +139,12 @@ def cmd_generate(args) -> tuple[int, dict | None]:
 
 
 def _solver_config(args, prob) -> solvers.SolverConfig:
-    v = args.v if args.v is not None else solvers.default_stepsize(prob)
     inexact = solvers.Schedule.zero()
-    if args.algo == "ipga1p" and args.tau_c is not None:
-        inexact = solvers.Schedule.geometric(args.tau_c, args.tau_rho)
-    if args.algo == "ipga2p" and args.t_c is not None:
-        inexact = solvers.Schedule.geometric(args.t_c, args.t_rho)
+    if args.inexact is not None:
+        if args.algo == "pga":
+            raise ValidationError("pga takes no --inexact schedule")
+        inexact = solvers.Schedule.geometric(*args.inexact)
+    v = args.v if args.v is not None else solvers.default_stepsize(prob)
     return solvers.SolverConfig(
         v=v, max_iters=args.max_iters, stop_tol=args.tol,
         inexact=inexact, knob=args.knob,
@@ -165,8 +165,7 @@ def cmd_solve(args) -> tuple[int, dict | None]:
             "algo": args.algo, "v": list(config.v),
             "max_iters": config.max_iters, "stop_tol": config.stop_tol,
             "knob": config.knob,
-            "tau": [args.tau_c, args.tau_rho],
-            "t": [args.t_c, args.t_rho],
+            "inexact": args.inexact,
         },
         seed=None,
         input_hashes={args.problem: _hash_file(args.problem)},
@@ -217,11 +216,7 @@ def cmd_certify(args) -> tuple[int, dict | None]:
         print(f"error: nonpositive alpha {alpha}; stepsize too large?",
               file=sys.stderr)
         return EXIT_USAGE, None
-    # CSV traces do not record which inexactness type produced eps_k, so by
-    # default the checks run with eps = 0 (strictly conservative); the flag
-    # feeds the stored column through as the eps_k^2 sequence instead.
-    eps_sq = trace.eps_values if args.eps_from_trace else None
-    h1 = analysis.certify_h1(trace, alpha, eps_sq=eps_sq)
+    h1 = analysis.certify_h1(trace, alpha)
     h2 = analysis.certify_h2(prob, trace, beta=args.beta, v_lo=v_lo)
     report = {"h1": asdict(h1), "h2": asdict(h2), "ok": h1.ok and h2.ok}
     out = args.out_dir / args.report_out
@@ -377,10 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override problem lambda")
     s.add_argument("--v", type=float, default=None,
                    help="stepsize (default: 0.495 / ||A||^2)")
-    s.add_argument("--tau-c", type=float, default=None)
-    s.add_argument("--tau-rho", type=float, default=0.5)
-    s.add_argument("--t-c", type=float, default=None)
-    s.add_argument("--t-rho", type=float, default=0.7)
+    s.add_argument("--inexact", type=float, nargs=2, metavar=("C", "RHO"),
+                   help="schedule C * RHO^k: tau_k for ipga1p, t_k for ipga2p")
     s.add_argument("--max-iters", type=int, default=100_000)
     s.add_argument("--tol", type=float, default=1e-10)
     s.add_argument("--knob", type=float, default=0.9)
@@ -404,9 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--beta", type=_auto_or_positive, default="auto")
     c.add_argument("--v", type=_positive, default=None,
                    help="stepsize used by the traced run (default rule if omitted)")
-    c.add_argument("--eps-from-trace", action="store_true",
-                   help="use the trace's eps_k column as the eps^2 sequence "
-                        "of the sufficient-decrease check")
     c.add_argument("--report-out", default="certify-report.json")
     c.set_defaults(func=cmd_certify)
 

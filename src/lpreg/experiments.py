@@ -99,8 +99,8 @@ def _oracle_compare(q: prox.ProxQuery):
     return argmin_err, value_err, law_ok, half_err
 
 
-def exp_prox_pin(n_queries: int = 10_000, seed: int = 2024) -> ExperimentResult:
-    results = [_oracle_compare(q) for q in sample_prox_queries(n_queries, seed)]
+def exp_prox_pin() -> ExperimentResult:
+    results = [_oracle_compare(q) for q in sample_prox_queries()]
     worst_argmin = max(r[0] for r in results)
     worst_value = max(r[1] for r in results)
     law_violations = sum(0 if r[2] else 1 for r in results)
@@ -115,7 +115,7 @@ def exp_prox_pin(n_queries: int = 10_000, seed: int = 2024) -> ExperimentResult:
     if law_violations:
         failures.append(f"{law_violations} magnitude lower-bound violations")
     summary = {
-        "n_queries": n_queries,
+        "n_queries": len(results),
         "worst_argmin_err": worst_argmin,
         "worst_value_err": worst_value,
         "worst_half_err": worst_half,
@@ -370,7 +370,7 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(name: str, **kwargs) -> ExperimentResult:
+def run_experiment(name: str) -> ExperimentResult:
     if name not in EXPERIMENTS:
         raise KeyError(name)
-    return EXPERIMENTS[name](**kwargs)
+    return EXPERIMENTS[name]()

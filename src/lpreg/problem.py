@@ -247,10 +247,13 @@ def generate_instance(
 # string form: it is exact, and reading it builds no Python float per
 # entry.
 #
-# Trace file: CSV with header k,F,step_norm,residual,support_size,eps_k;
-# one row per recorded iterate, numbers with 17 significant digits.  The
-# final row's step_norm and eps_k are 0.0 (no successor iterate).  Reading
-# rejects non-finite numbers, so a certificate never sees them.
+# Trace file: CSV with header k,F,step_norm,residual,support_size and an
+# eps column named after the trace's eps kind: eps_k for an exact run,
+# eps_value (value gaps, ipga1p) or eps_dist (distance norms, ipga2p).
+# One row per recorded iterate, k = 0, 1, ... in order, numbers with 17
+# significant digits.  The final row's step_norm and eps are 0.0 (no
+# successor iterate).  Reading rejects a file without rows, non-finite
+# numbers and negative support sizes, so a certificate never sees them.
 # ---------------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("m", "n", "p", "lambda", "A", "b")
@@ -348,7 +351,9 @@ def save_problem(path, prob: Problem) -> None:
         fh.write("\n")
 
 
-TRACE_HEADER = ("k", "F", "step_norm", "residual", "support_size", "eps_k")
+TRACE_COLUMNS = ("k", "F", "step_norm", "residual", "support_size")
+EPS_COLUMNS = {"none": "eps_k", "value": "eps_value", "dist": "eps_dist"}
+_EPS_KINDS = {name: kind for kind, name in EPS_COLUMNS.items()}
 
 
 def save_trace(path, trace) -> None:
@@ -358,13 +363,14 @@ def save_trace(path, trace) -> None:
                trace.support_sizes, trace.eps_values + [0.0], strict=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
+        writer.writerow(TRACE_COLUMNS + (EPS_COLUMNS[trace.eps_kind],))
         writer.writerows([k] + [f"{v:.17g}" for v in row]
                          for k, row in enumerate(rows))
 
 
 def load_trace(path):
-    """Read a trace CSV back into an IterationTrace (iterates absent)."""
+    """Read a trace CSV back into an IterationTrace (iterates absent), its
+    eps kind taken from the eps column's name."""
     from .solvers import IterationTrace
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -373,29 +379,32 @@ def load_trace(path):
             header = next(reader)
         except StopIteration:
             raise ProblemFormatError("empty trace file", line=1) from None
-        if tuple(header) != TRACE_HEADER:
-            raise ProblemFormatError(
-                f"bad trace header {header!r}", line=1
-            )
+        if tuple(header[:-1]) != TRACE_COLUMNS or header[-1] not in _EPS_KINDS:
+            raise ProblemFormatError(f"bad trace header {header!r}", line=1)
         f_vals, steps, resids, sizes, eps = [], [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 6:
-                raise ProblemFormatError(
-                    f"expected 6 columns, got {len(row)}", line=lineno
-                )
+                raise ProblemFormatError(f"expected 6 columns, got {len(row)}", line=lineno)
             try:
+                k, size = int(row[0]), int(row[4])
                 f, step, resid, e = (float(row[i]) for i in (1, 2, 3, 5))
-                sizes.append(int(row[4]))
             except ValueError as exc:
                 raise ProblemFormatError(str(exc), line=lineno) from exc
+            if k != len(f_vals):
+                raise ProblemFormatError(f"k={k}, expected {len(f_vals)}", line=lineno)
+            if size < 0:
+                raise ProblemFormatError(f"negative support_size {size}", line=lineno)
             if not all(map(math.isfinite, (f, step, resid, e))):
                 raise ProblemFormatError(f"non-finite value in {row!r}", line=lineno)
+            sizes.append(size)
             f_vals.append(f)
             steps.append(step)
             resids.append(resid)
             eps.append(e)
+    if not f_vals:
+        raise ProblemFormatError("trace has no rows", line=2)
     # drop the final row's 0.0 placeholders (save_trace): the step and eps
     # sequences have one entry per actual step
     return IterationTrace(
@@ -406,4 +415,5 @@ def load_trace(path):
         residuals=resids,
         converged=None,
         algo="loaded",
+        eps_kind=_EPS_KINDS[header[-1]],
     )

@@ -112,19 +112,22 @@ EPS = float(np.finfo(float).eps)
 class Schedule:
     """Inexactness schedule: the geometric family c * rho^k.
 
-    The rate certifications reason about it symbolically (square
-    summability and a tail ratio below 1 hold exactly when rho < 1).
+    c is finite and nonnegative and rho lies in [0, 1), so every schedule
+    is square summable with a tail ratio below 1.
     """
 
     c: float = 0.0
     rho: float = 0.0
 
+    def __post_init__(self):
+        if not (0.0 <= self.c < math.inf):  # NaN fails too
+            raise ValidationError(
+                f"schedule constant must be finite and >= 0, got {self.c}")
+        if not (0.0 <= self.rho < 1.0):
+            raise ValidationError(f"schedule ratio must lie in [0, 1), got {self.rho}")
+
     @classmethod
     def geometric(cls, c: float, rho: float) -> "Schedule":
-        if c < 0:
-            raise ValidationError(f"schedule constant must be >= 0, got {c}")
-        if not (0.0 <= rho < 1.0):
-            raise ValidationError(f"schedule ratio must lie in [0, 1), got {rho}")
         return cls(c=c, rho=rho)
 
     @classmethod
@@ -388,13 +391,14 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
     gamma = (prob.m + 4) * EPS
     J = x.nonzero()[0]  # until the first full product
     x_j, cols_j = x[J], cols[J]
-    prepared = kernel = r_ref = pos_key = A_s = None
+    prepared = kernel = r_ref = pos_key = A_s = supp = None
     rho, n_cand = math.inf, n  # n_cand: candidates of the last prox
     converged = False
     for k in range(config.max_iters + 1):
         pos = x_j.nonzero()[0]  # supp(x) as positions in J
-        if pos.tobytes() != pos_key:
+        if pos.tobytes() != pos_key:  # supp: one tuple per support change
             pos_key, A_s = pos.tobytes(), np.ascontiguousarray(cols_j[pos].T)
+            supp = tuple(J[pos].tolist())
         xs = x_j[pos]
         r = np.vecdot(A_s, xs) - prob.b
         v = config.stepsize(k)
@@ -418,14 +422,14 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
             else:
                 cols_j, grad = cols[J], grad[J]
             kernel, r_ref = prepared.restrict(J), r
-            pos_key = pos.tobytes()  # A_s holds the same columns
+            pos_key = pos.tobytes()  # A_s and supp hold the same columns
             trace.refreshes.append(k)
         else:
             grad = _gradient_at(cols_j, r)
         f, resid = _evaluate(prob, r, grad[pos], xs, kernel.lam[pos])
         trace.f_values.append(f)
         trace.support_sizes.append(len(pos))
-        trace.supports.append(tuple(J[pos].tolist()))
+        trace.supports.append(supp)
         trace.residuals.append(resid)
         trace.values.append(xs)
         trace.working_set_sizes.append(len(J))

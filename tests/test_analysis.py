@@ -82,14 +82,6 @@ def test_h1_eps_allows_increase():
     assert report.ok
 
 
-def test_h1_symbolic_schedule_verdict():
-    trace = _fake_trace([1.0, 0.9], [0.1])
-    rep = certify_h1(trace, alpha=0.5, schedule=Schedule.geometric(0.1, 0.5))
-    assert rep.symbolic_summable is True
-    rep2 = certify_h1(trace, alpha=0.5, schedule=None)
-    assert rep2.symbolic_summable is None
-
-
 def test_h2_critical_point_trace(one_dim, one_dim_tstar):
     trace = run_pga(one_dim, SolverConfig(v=0.4), x0=[one_dim_tstar])
     report = certify_h2(one_dim, trace, beta=1.0)

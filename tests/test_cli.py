@@ -6,15 +6,18 @@ import pytest
 
 from lpreg import (
     ProxQuery,
+    Schedule,
     SolverConfig,
     default_stepsize,
     load_problem,
     load_trace,
     prox_scalar,
     run_pga,
+    save_trace,
     spectral_norm_sq,
 )
 from lpreg.cli import main
+from lpreg.solvers import runner
 
 
 def run_cli(*argv):
@@ -204,31 +207,98 @@ def test_solve_certify_rate_above_ten_thousand_columns(tmp_path):
     assert tuple(np.flatnonzero(x).tolist()) == trace.supports[-1]
 
 
+def _solve(tmp_path, algo, *flags, trace_out="t.csv"):
+    return run_cli("--out-dir", str(tmp_path), "--quiet", "solve", "--algo", algo,
+                   *flags, "--problem", str(tmp_path / "p.json"),
+                   "--trace-out", trace_out)
+
+
+def _certify(tmp_path, trace_csv, *flags):
+    code = run_cli("--out-dir", str(tmp_path), "--quiet", "certify",
+                   "--trace", str(tmp_path / trace_csv),
+                   "--problem", str(tmp_path / "p.json"), *flags)
+    return code, json.loads((tmp_path / "certify-report.json").read_text())
+
+
 def test_certify_eps_from_trace(tmp_path):
-    out = str(tmp_path)
-    run_cli("--out-dir", out, "--quiet", "generate", "--out", "p.json")
-    run_cli("--out-dir", out, "--quiet", "solve", "--algo", "ipga1p",
-            "--tau-c", "0.1", "--tau-rho", "0.5",
-            "--problem", str(tmp_path / "p.json"), "--trace-out", "t.csv")
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.json")
+    assert _solve(tmp_path, "pga", trace_out="pga.csv") == 0
+    assert _solve(tmp_path, "ipga1p", "--inexact", "0.1", "0.5",
+                  trace_out="ipga1p.csv") == 0
+    assert _solve(tmp_path, "ipga2p", "--inexact", "0.3", "0.7",
+                  trace_out="ipga2p.csv") == 0
 
-    def certify(*flags):
-        code = run_cli("--out-dir", out, "--quiet", "certify",
-                       "--trace", str(tmp_path / "t.csv"),
-                       "--problem", str(tmp_path / "p.json"), *flags)
-        return code, json.loads((tmp_path / "certify-report.json").read_text())
-
-    # without the flag both checks run with eps = 0; with it the stored
-    # value gaps enter the sufficient-decrease check as eps_k^2
-    code, report = certify()
-    assert code == 0 and report["h1"]["eps_sum_sq"] == 0.0
-    code, report = certify("--eps-from-trace")
-    eps = load_trace(tmp_path / "t.csv").eps_values
+    # the eps column names its kind: an exact run has no eps, value gaps
+    # enter the sufficient-decrease check as eps_k^2, distance norms the
+    # relative-error check as eps_k
+    code, report = _certify(tmp_path, "pga.csv")
+    assert code == 0 and report["h1"]["eps_sum_sq"] == report["h2"]["eps_sum_sq"] == 0.0
+    code, report = _certify(tmp_path, "ipga1p.csv")
+    eps = load_trace(tmp_path / "ipga1p.csv").eps_values
     assert code == 0 and report["ok"]
     assert report["h1"]["eps_sum_sq"] == math.fsum(eps) > 0.0
+    assert report["h2"]["eps_sum_sq"] == 0.0
+    code, report = _certify(tmp_path, "ipga2p.csv")
+    eps = load_trace(tmp_path / "ipga2p.csv").eps_values
+    assert code == 0 and report["ok"]
+    assert report["h1"]["eps_sum_sq"] == 0.0
+    assert report["h2"]["eps_sum_sq"] == math.fsum(e * e for e in eps) > 0.0
     # a relative-error constant far too small fails certification
-    code, report = certify("--eps-from-trace", "--beta", "1e-9")
+    code, report = _certify(tmp_path, "ipga1p.csv", "--beta", "1e-9")
     assert report["h1"]["ok"] and not report["h2"]["ok"]
     assert code == 3
+
+
+@pytest.mark.parametrize("column, h1_eps, h2_eps", [
+    ("eps_k", False, False), ("eps_value", True, False), ("eps_dist", False, True)])
+def test_certify_takes_the_eps_kind_from_the_header(tmp_path, column, h1_eps, h2_eps):
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.json")
+    assert _solve(tmp_path, "ipga2p", "--inexact", "0.3", "0.7") == 0
+    path = tmp_path / "t.csv"
+    header, rows = path.read_text().split("\n", 1)
+    path.write_text(header.rsplit(",", 1)[0] + "," + column + "\n" + rows)
+    code, report = _certify(tmp_path, "t.csv")
+    eps = load_trace(path).eps_values
+    assert code == 0 and report["ok"]
+    assert report["h1"]["eps_sum_sq"] == (math.fsum(eps) if h1_eps else 0.0)
+    assert report["h2"]["eps_sum_sq"] == (
+        math.fsum(e * e for e in eps) if h2_eps else 0.0)
+    assert "symbolic_summable" not in report["h1"]
+    assert "symbolic_summable" not in report["h2"]
+
+
+@pytest.mark.parametrize("algo, schedule, column", [
+    ("ipga1p", ("0.1", "0.5"), "eps_value"), ("ipga2p", ("0.3", "0.7"), "eps_dist")])
+def test_solve_inexact_matches_the_library_run(tmp_path, algo, schedule, column):
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.json")
+    assert _solve(tmp_path, algo, "--inexact", *schedule) == 0
+    prob = load_problem(tmp_path / "p.json")
+    cfg = SolverConfig(v=default_stepsize(prob),
+                       inexact=Schedule.geometric(*map(float, schedule)))
+    save_trace(tmp_path / "lib.csv", runner(algo)(prob, cfg))
+    written = (tmp_path / "t.csv").read_text()
+    assert written == (tmp_path / "lib.csv").read_text()
+    assert written.split("\n", 1)[0].endswith("," + column)
+    config = json.loads((tmp_path / "solve-manifest.json").read_text())["config"]
+    assert config["inexact"] == [float(x) for x in schedule]
+    assert "tau" not in config and "t" not in config
+
+
+def test_solve_pga_refuses_a_schedule(tmp_path, capsys):
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.json")
+    assert _solve(tmp_path, "pga", "--inexact", "0.1", "0.5") == 1
+    assert "pga takes no --inexact" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "solve-manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tau-c", "0.1"], ["--t-c", "0.3", "--t-rho", "0.7"], ["--inexact", "0.1"],
+    ["--inexact", "nan", "0.5"], ["--inexact", "0.1", "1"]])
+def test_solve_bad_schedule_exits_1(tmp_path, flags):
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.json")
+    assert _solve(tmp_path, "ipga1p", *flags) == 1
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_manifest_only_when_output_written(tmp_path):

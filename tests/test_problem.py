@@ -26,7 +26,15 @@ from lpreg.errors import (
 )
 from lpreg.experiments import make_instances
 from lpreg.problem import SPECTRAL_TOL
-from lpreg.solvers import SolverConfig, residual_on_support, run_pga
+from lpreg.solvers import (
+    Schedule,
+    SolverConfig,
+    default_stepsize,
+    residual_on_support,
+    run_ipga_1p,
+    run_ipga_2p,
+    run_pga,
+)
 
 
 def test_objective_zero_point():
@@ -301,8 +309,6 @@ def test_problem_file_parse_error_line(tmp_path):
 
 def test_trace_roundtrip(tmp_path, small_instance):
     prob, _ = small_instance
-    from lpreg.solvers import default_stepsize
-
     trace = run_pga(prob, SolverConfig(v=default_stepsize(prob), max_iters=40))
     path = tmp_path / "trace.csv"
     save_trace(path, trace)
@@ -313,11 +319,45 @@ def test_trace_roundtrip(tmp_path, small_instance):
     assert loaded.support_sizes == trace.support_sizes
 
 
+def test_trace_header_names_the_eps_kind(tmp_path, small_instance):
+    prob, _ = small_instance
+    cfg = SolverConfig(v=default_stepsize(prob), max_iters=40,
+                       inexact=Schedule.geometric(0.3, 0.7))
+    path = tmp_path / "trace.csv"
+    for run, column, kind in ((run_pga, "eps_k", "none"),
+                              (run_ipga_1p, "eps_value", "value"),
+                              (run_ipga_2p, "eps_dist", "dist")):
+        trace = run(prob, cfg)
+        save_trace(path, trace)
+        header = path.read_text().split("\n", 1)[0]
+        assert header == "k,F,step_norm,residual,support_size," + column
+        loaded = load_trace(path)
+        assert loaded.eps_kind == trace.eps_kind == kind
+        assert loaded.eps_values == trace.eps_values
+
+
+HEADER = "k,F,step_norm,residual,support_size,eps_k\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (HEADER, 2, "no rows"),
+    ("k,F,step_norm,residual,support_size,eps\n0,1.0,0.0,0.0,1,0.0\n", 1, "header"),
+    (HEADER + "7,1.0,0.5,0.0,-3,0.0\n3,0.9,0.0,0.0,-1,0.0\n", 2, "k=7"),
+    (HEADER + "0,1.0,0.5,0.0,1,0.0\n2,0.9,0.0,0.0,1,0.0\n", 3, "k=2"),
+    (HEADER + "0,1.0,0.5,0.0,1,0.0\n1,0.9,0.0,0.0,-1,0.0\n", 3, "negative support_size"),
+], ids=["header-only", "unknown-eps-column", "k-not-from-0", "k-skips",
+        "negative-support"])
+def test_trace_rejects_malformed_file(tmp_path, text, line, message):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ProblemFormatError, match=message) as info:
+        load_trace(path)
+    assert info.value.line == line
+
+
 def test_trace_rejects_non_finite(tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_text("k,F,step_norm,residual,support_size,eps_k\n"
-                    "0,1.0,0.5,0.0,1,0.0\n"
-                    "1,nan,0.0,0.0,1,0.0\n")
+    path.write_text(HEADER + "0,1.0,0.5,0.0,1,0.0\n1,nan,0.0,0.0,1,0.0\n")
     with pytest.raises(ProblemFormatError, match="line 3") as info:
         load_trace(path)
     assert info.value.line == 3

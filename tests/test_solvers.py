@@ -377,6 +377,17 @@ def test_schedule_family():
         Schedule.geometric(0.1, 1.0)
 
 
+@pytest.mark.parametrize("c, rho", [(float("nan"), 0.5), (float("inf"), 0.5),
+                                    (-1.0, 0.5), (0.1, float("nan")),
+                                    (0.1, -0.1), (-1.0, 2.0)])
+def test_invalid_schedule_raises(c, rho):
+    # checked on construction, so a direct Schedule(...) is checked too
+    with pytest.raises(ValidationError, match="schedule"):
+        Schedule.geometric(c, rho)
+    with pytest.raises(ValidationError, match="schedule"):
+        Schedule(c=c, rho=rho)
+
+
 def test_default_stepsize_inside_bound(small_instance):
     prob, _ = small_instance
     v = default_stepsize(prob)
