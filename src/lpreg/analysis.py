@@ -65,15 +65,6 @@ class ConditionReport:
     eps_tail_fraction: float
 
 
-def _eps(seq, n_steps: int) -> list[float]:
-    """The first ``n_steps`` entries of an eps sequence that has them."""
-    seq = list(seq)
-    if len(seq) < n_steps:
-        raise ValidationError(
-            f"eps sequence has {len(seq)} entries, trace has {n_steps} steps")
-    return seq[:n_steps]
-
-
 def _report(condition: str, lhs, rhs, constant: float, eps_sq) -> ConditionReport:
     """Step k of ``condition`` compares lhs[k] with rhs[k] at DESCENT_SLACK;
     ``eps_sq`` gives the eps tail-sum diagnostics."""
@@ -84,21 +75,14 @@ def _report(condition: str, lhs, rhs, constant: float, eps_sq) -> ConditionRepor
                            worst_idx, constant, total, tail_frac)
 
 
-def certify_h1(
-    trace: IterationTrace,
-    alpha: float,
-    eps_sq=None,
-) -> ConditionReport:
+def certify_h1(trace: IterationTrace, alpha: float) -> ConditionReport:
     """Check the sufficient-decrease condition along a trace.
 
-    ``eps_sq`` is the sequence of eps_k^2 terms; by default the trace's own
-    certified value gaps are used (zero for other runs).  The eps tail-sum
-    diagnostic rides along in the report.
+    eps_k^2 is the trace's certified value gap for run_ipga_1p traces and 0
+    otherwise.  The eps tail-sum diagnostic rides along in the report.
     """
-    n_steps = len(trace.step_norms)
-    if eps_sq is None:
-        eps_sq = trace.eps_values if trace.eps_kind == "value" else [0.0] * n_steps
-    eps_sq = _eps(eps_sq, n_steps)
+    eps_sq = (trace.eps_values if trace.eps_kind == "value"
+              else [0.0] * len(trace.step_norms))
     f = trace.f_values
     return _report(
         "sufficient-decrease",
@@ -149,7 +133,6 @@ def certify_h2(
     x^{k+1} with ||x^{k+1} - x^k||.  eps_k is the trace's distance
     certificate for run_ipga_2p traces and 0 otherwise.
     """
-    n_steps = len(trace.step_norms)
     if beta == "auto":
         if v_lo is None:
             if not trace.stepsizes:
@@ -157,8 +140,8 @@ def certify_h2(
             v_lo = min(trace.stepsizes)
         beta = estimate_beta(prob, trace, v_lo)
     beta = float(beta)
-    eps = _eps(trace.eps_values if trace.eps_kind == "dist" else [0.0] * n_steps,
-               n_steps)
+    eps = (trace.eps_values if trace.eps_kind == "dist"
+           else [0.0] * len(trace.step_norms))
     return _report(
         "relative-error",
         trace.residuals[1:],

@@ -12,13 +12,14 @@ Exit codes: 0 success, 1 usage or validation error, 2 solver hit max_iters,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +72,6 @@ def _say(args, message):
         print(message)
 
 
-def _load_problem_with_overrides(args) -> problem.Problem:
-    prob = problem.load_problem(args.problem)
-    overrides = {k: getattr(args, k) for k in ("lam", "p") if getattr(args, k) is not None}
-    return replace(prob, **overrides) if overrides else prob
-
-
 def _positive(text: str) -> float:
     """A flag value that is a positive finite number."""
     try:
@@ -121,7 +116,7 @@ def _json_dump(path: Path, data) -> None:
         fh.write("\n")
 
 
-def cmd_generate(args) -> tuple[int, dict | None]:
+def cmd_generate(args) -> tuple[int, dict]:
     prob, planted = problem.generate_instance(
         seed=args.seed, m=args.m, n=args.n, s=args.s,
         noise=args.noise, lam=args.lam, p=args.p,
@@ -146,13 +141,12 @@ def _solver_config(args, prob) -> solvers.SolverConfig:
         inexact = solvers.Schedule.geometric(*args.inexact)
     v = args.v if args.v is not None else solvers.default_stepsize(prob)
     return solvers.SolverConfig(
-        v=v, max_iters=args.max_iters, stop_tol=args.tol,
-        inexact=inexact, knob=args.knob,
+        v=v, max_iters=args.max_iters, stop_tol=args.tol, inexact=inexact,
     )
 
 
-def cmd_solve(args) -> tuple[int, dict | None]:
-    prob = _load_problem_with_overrides(args)
+def cmd_solve(args) -> tuple[int, dict]:
+    prob = problem.load_problem(args.problem)
     config = _solver_config(args, prob)
     trace = solvers.runner(args.algo)(prob, config)
     trace_path = args.out_dir / args.trace_out
@@ -164,7 +158,6 @@ def cmd_solve(args) -> tuple[int, dict | None]:
         config={
             "algo": args.algo, "v": list(config.v),
             "max_iters": config.max_iters, "stop_tol": config.stop_tol,
-            "knob": config.knob,
             "inexact": args.inexact,
         },
         seed=None,
@@ -175,19 +168,12 @@ def cmd_solve(args) -> tuple[int, dict | None]:
     )
 
 
-def cmd_prox_table(args) -> tuple[int, dict | None]:
-    zs = np.linspace(args.z_min, args.z_max, args.z_count)
-    if not np.isfinite(zs).all():
-        raise ValidationError("z must be finite")
-    prox.ProxQuery(z=0.0, v=args.v, lam=args.lam, p=args.p)  # checks v, lambda, p
-    idx, t, tie_, value = prox._prox_abs(
-        np.abs(zs), prox._Prepared(args.v, np.full(zs.shape, args.lam), args.p))
-    argmin, tie = np.zeros(zs.size), np.zeros(zs.size, dtype=bool)
-    argmin[idx], tie[idx] = prox._selection(t, tie_, zs[idx]), tie_
+def cmd_prox_table(args) -> tuple[int, dict]:
     lines = ["z,v,lambda,p,argmin,value,tie"]
-    for z, y, g, is_tie in zip(zs, argmin, value, tie):
+    for z in np.linspace(args.z_min, args.z_max, args.z_count).tolist():
+        res = prox.prox_scalar(prox.ProxQuery(z=z, v=args.v, lam=args.lam, p=args.p))
         lines.append(f"{z:.17g},{args.v:.17g},{args.lam:.17g},{args.p:.17g},"
-                     f"{y:.17g},{g:.17g},{int(is_tie)}")
+                     f"{res.selection:.17g},{res.value:.17g},{int(res.tie)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         out = args.out_dir / args.out
@@ -203,7 +189,7 @@ def cmd_prox_table(args) -> tuple[int, dict | None]:
     )
 
 
-def cmd_certify(args) -> tuple[int, dict | None]:
+def cmd_certify(args) -> tuple[int, dict]:
     prob = problem.load_problem(args.problem)
     trace = problem.load_trace(args.trace)
     v_lo = args.v if args.v is not None else solvers.default_stepsize(prob)
@@ -213,9 +199,7 @@ def cmd_certify(args) -> tuple[int, dict | None]:
     else:
         alpha = args.alpha
     if not math.isfinite(alpha) or alpha <= 0:
-        print(f"error: nonpositive alpha {alpha}; stepsize too large?",
-              file=sys.stderr)
-        return EXIT_USAGE, None
+        raise ValidationError(f"nonpositive alpha {alpha}; stepsize too large?")
     h1 = analysis.certify_h1(trace, alpha)
     h2 = analysis.certify_h2(prob, trace, beta=args.beta, v_lo=v_lo)
     report = {"h1": asdict(h1), "h2": asdict(h2), "ok": h1.ok and h2.ok}
@@ -230,7 +214,7 @@ def cmd_certify(args) -> tuple[int, dict | None]:
     )
 
 
-def cmd_rate(args) -> tuple[int, dict | None]:
+def cmd_rate(args) -> tuple[int, dict]:
     trace = problem.load_trace(args.trace)
     if args.fstar is not None:
         f_star = args.fstar
@@ -238,9 +222,7 @@ def cmd_rate(args) -> tuple[int, dict | None]:
         prob = problem.load_problem(args.problem)
         _, f_star = experiments.reference_solution(prob)
     else:
-        print("error: rate needs --fstar or --problem for the reference value",
-              file=sys.stderr)
-        return EXIT_USAGE, None
+        raise ValidationError("rate needs --fstar or --problem for the reference value")
     est = analysis.fit_rate(trace, "objective-gap", f_star=f_star,
                             tail_frac=args.tail_frac)
     report = {
@@ -260,7 +242,7 @@ def cmd_rate(args) -> tuple[int, dict | None]:
     )
 
 
-def cmd_certify_point(args) -> tuple[int, dict | None]:
+def cmd_certify_point(args) -> tuple[int, dict]:
     prob = problem.load_problem(args.problem)
     report = optimality.classify_point(prob, args.point, fo_tol=args.fo_tol,
                                        so_tol=args.so_tol)
@@ -289,7 +271,7 @@ def cmd_certify_point(args) -> tuple[int, dict | None]:
     )
 
 
-def cmd_enumerate(args) -> tuple[int, dict | None]:
+def cmd_enumerate(args) -> tuple[int, dict]:
     prob = problem.load_problem(args.problem)
     result = optimality.enumerate_local_minima(prob, seed=args.seed)
     data = {
@@ -317,11 +299,10 @@ def cmd_enumerate(args) -> tuple[int, dict | None]:
     )
 
 
-def cmd_repro(args) -> tuple[int, dict | None]:
+def cmd_repro(args) -> tuple[int, dict]:
     if args.experiment not in experiments.EXPERIMENTS:
-        print(f"error: unknown experiment {args.experiment!r}; "
-              f"known: {sorted(experiments.EXPERIMENTS)}", file=sys.stderr)
-        return EXIT_USAGE, None
+        raise ValidationError(f"unknown experiment {args.experiment!r}; "
+                              f"known: {sorted(experiments.EXPERIMENTS)}")
     result = experiments.run_experiment(args.experiment)
     outputs = []
     for name, text in sorted(result.files.items()):
@@ -345,13 +326,17 @@ def cmd_repro(args) -> tuple[int, dict | None]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="lpreg",
+        prog="lpreg", allow_abbrev=False,
         description="Solvers and certification tools for lp-regularized "
                     "least squares (0 < p < 1).",
     )
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--out-dir", default=".")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # flags match whole names only: a prefix such as `solve --p` must not
+    # pass for `--problem`
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     g = sub.add_parser("generate", help="write a random planted instance")
     g.add_argument("--seed", type=int, default=1)
@@ -367,16 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run a solver and write its trace")
     s.add_argument("--algo", choices=("pga", "ipga1p", "ipga2p"), default="pga")
     s.add_argument("--problem", required=True)
-    s.add_argument("--p", type=float, default=None, help="override problem p")
-    s.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="override problem lambda")
     s.add_argument("--v", type=float, default=None,
                    help="stepsize (default: 0.495 / ||A||^2)")
     s.add_argument("--inexact", type=float, nargs=2, metavar=("C", "RHO"),
                    help="schedule C * RHO^k: tau_k for ipga1p, t_k for ipga2p")
     s.add_argument("--max-iters", type=int, default=100_000)
     s.add_argument("--tol", type=float, default=1e-10)
-    s.add_argument("--knob", type=float, default=0.9)
     s.add_argument("--trace-out", default="trace.csv")
     s.set_defaults(func=cmd_solve)
 
@@ -435,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Parse, run the command and write its manifest into ``--out-dir``.
 
-    Each ``cmd_*`` returns its exit code and its manifest fields, or None
-    for the fields when it stopped with a usage error before any output.
+    Each ``cmd_*`` returns its exit code and its manifest fields; a usage
+    error raises ``LpregError`` before any output.
     """
     parser = build_parser()
     try:
@@ -451,10 +432,9 @@ def main(argv=None) -> int:
     except (LpregError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if fields is not None:
-        fields.setdefault("command", args.command)
-        RunManifest(argv=sys.argv[1:], wall_clock_s=time.perf_counter() - t0,
-                    **fields).write(args.out_dir)
+    fields.setdefault("command", args.command)
+    RunManifest(argv=sys.argv[1:], wall_clock_s=time.perf_counter() - t0,
+                **fields).write(args.out_dir)
     return code
 
 

@@ -253,7 +253,8 @@ def generate_instance(
 # One row per recorded iterate, k = 0, 1, ... in order, numbers with 17
 # significant digits.  The final row's step_norm and eps are 0.0 (no
 # successor iterate).  Reading rejects a file without rows, non-finite
-# numbers and negative support sizes, so a certificate never sees them.
+# numbers, negative support sizes and a final row whose step_norm or eps
+# is not 0.0 (a truncated file), so a certificate never sees them.
 # ---------------------------------------------------------------------------
 
 _REQUIRED_KEYS = ("m", "n", "p", "lambda", "A", "b")
@@ -403,10 +404,14 @@ def load_trace(path):
             steps.append(step)
             resids.append(resid)
             eps.append(e)
+            last = lineno
     if not f_vals:
         raise ProblemFormatError("trace has no rows", line=2)
     # drop the final row's 0.0 placeholders (save_trace): the step and eps
     # sequences have one entry per actual step
+    if steps[-1] != 0.0 or eps[-1] != 0.0:
+        raise ProblemFormatError(
+            "final row's step_norm and eps must be 0.0; truncated trace?", line=last)
     return IterationTrace(
         f_values=f_vals,
         step_norms=steps[:-1],

@@ -68,6 +68,10 @@ TIE_TOL = 1e-12
 NEWTON_MAX_ITERS = 80
 BISECT_MAX_ITERS = 200
 
+# The inexact variants use this share of each coordinate's budget; the
+# unused share absorbs the rounding of the perturbation and its certificate.
+BUDGET_SHARE = 0.9
+
 
 @dataclass(frozen=True)
 class ProxQuery:
@@ -330,7 +334,7 @@ def _prox_select(z: np.ndarray, k: _Prepared):
 
 
 def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
-                       tau: float, knob: float = 0.9, *, lam=None):
+                       tau: float, *, lam=None):
     """Value-type perturbation of the exact prox ``(y_star, value)`` of z.
 
     Coordinate i may return any y_i whose scalar prox objective g_i lies
@@ -338,12 +342,11 @@ def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
     coordinate moves only when its step delta = y*_i - x_i is nonzero and
     y*_i != 0; it moves away from x_i by
 
-        s = min(sqrt(2 v knob tau) |delta|, |y*_i| / 2),
+        s = min(sqrt(2 v BUDGET_SHARE tau) |delta|, |y*_i| / 2),
 
     so y_i keeps the sign of y*_i.  On either side of 0, g_i'' <= 1/v, so
-    the true gap is at most s^2 / (2 v) <= knob * tau * delta^2: knob is
-    the share of the budget that this worst case may use.  A zero
-    selection, a tie included, stays at 0 with gap 0.
+    the true gap is at most s^2 / (2 v) <= BUDGET_SHARE * tau * delta^2.
+    A zero selection, a tie included, stays at 0 with gap 0.
 
     The certificate is the gap recomputed against ``value``.  A coordinate
     whose recomputed gap exceeds its bound falls back to y*_i with gap 0.
@@ -353,12 +356,11 @@ def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
     """
     if not (tau >= 0.0 and math.isfinite(tau)):
         raise ValidationError(f"tau must be nonnegative, got {tau}")
-    if not (0.0 <= knob <= 1.0):
-        raise ValidationError(f"knob must lie in [0, 1], got {knob}")
     delta = y_star - x
     i = ((delta != 0.0) & (y_star != 0.0)).nonzero()[0]  # moving
     d, ys = delta[i], y_star[i]
-    s = np.minimum(math.sqrt(2.0 * v * knob * tau) * np.abs(d), 0.5 * np.abs(ys))
+    s = np.minimum(math.sqrt(2.0 * v * BUDGET_SHARE * tau) * np.abs(d),
+                   0.5 * np.abs(ys))
     y = ys + np.copysign(s, d)
     lam = (prob.lambda_vec if lam is None else lam)[i]
     g = lam * np.abs(y) ** prob.p + (y - z[i]) ** 2 / (2.0 * v)

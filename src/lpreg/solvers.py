@@ -15,15 +15,17 @@ perturbation per coordinate at every iteration:
 
 * ``run_ipga_1p`` (value-type): coordinate i may return any point whose
   scalar prox objective lies within tau_k * (x_i^{k+1} - x_i^k)^2 of the
-  minimum; the shift s = min(sqrt(2 v knob tau_k) |y* - x_i|, |y*| / 2),
-  applied away from x_i, has a worst-case gap of knob times that budget,
-  and the achieved gap is recomputed against the certified minimum.
+  minimum; the shift s = min(sqrt(2 v BUDGET_SHARE tau_k) |y* - x_i|,
+  |y*| / 2), applied away from x_i, has a worst-case gap of BUDGET_SHARE
+  (``prox``) times that budget, and the achieved gap is recomputed against
+  the certified minimum.
   Coordinates whose exact selection is 0 are left unperturbed.
 * ``run_ipga_2p`` (distance-type): coordinate i may return any point within
   t_k * |x_i^{k+1} - x_i^k| of the exact minimizer (t_k < 1); the
-  perturbation s = knob * t_k * |y* - x_i| / (1 - t_k), applied away from
-  x_i, meets the bound with equality at knob = 1.  Coordinates whose exact
-  selection is 0 are left unperturbed.
+  perturbation s = BUDGET_SHARE * t_k * |y* - x_i| / (1 - t_k), applied
+  away from x_i, stays within the bound, which a share of 1 would meet
+  with equality.  Coordinates whose exact selection is 0 are left
+  unperturbed.
 
 All three share one loop: the exact prox is computed once per iteration,
 as ``prox_vector`` computes it, and the inexact variants perturb it on the
@@ -89,7 +91,7 @@ from .problem import (
     _residual,
     spectral_upper_bound,
 )
-from .prox import _Prepared, _prox_select, prox_inexact_value
+from .prox import BUDGET_SHARE, _Prepared, _prox_select, prox_inexact_value
 
 __all__ = [
     "Schedule",
@@ -145,21 +147,17 @@ def default_stepsize(prob: Problem) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stepsize schedule, stopping rule and inexactness controls.
+    """Stepsize schedule, stopping rule and inexactness schedule.
 
     ``v`` is a constant stepsize or a per-iteration sequence (continued with
     its last entry).  ``inexact`` is interpreted as the tau_k schedule by
-    run_ipga_1p and as the t_k schedule by run_ipga_2p.  ``knob`` in [0, 1]
-    is the share of each coordinate's budget that the inexact variants use:
-    of the value budget by the worst-case gap (run_ipga_1p), of the distance
-    bound by the perturbation (run_ipga_2p).
+    run_ipga_1p and as the t_k schedule by run_ipga_2p.
     """
 
     v: float | tuple[float, ...]
     max_iters: int = 100_000
     stop_tol: float = 1e-10
     inexact: Schedule = field(default_factory=Schedule.zero)
-    knob: float = 0.9
 
     def __post_init__(self):
         if isinstance(self.v, (int, float)):
@@ -172,8 +170,6 @@ class SolverConfig:
             raise ValidationError("max_iters must be >= 1")
         if not (self.stop_tol >= 0):
             raise ValidationError("stop_tol must be nonnegative")
-        if not (0.0 <= self.knob <= 1.0):
-            raise ValidationError(f"knob must lie in [0, 1], got {self.knob}")
 
     @property
     def v_lo(self) -> float:
@@ -470,16 +466,15 @@ def run_ipga_1p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
 
     Each step perturbs the exact prox once, through ``prox_inexact_value``:
     a moving coordinate shifts away from x_i by a closed-form amount whose
-    worst-case gap is the share ``knob`` of its budget.  eps_values collects
-    the summed certified gaps, which bound the value inexactness of the
-    whole step.
+    worst-case gap is the share ``BUDGET_SHARE`` of its budget.
+    eps_values collects the summed certified gaps, which bound the value
+    inexactness of the whole step.
     """
     tau_sched = config.inexact
 
     def perturb(k, x, z, kernel, y_star, value):
         x_new, gaps, bounds = prox_inexact_value(
-            z, kernel.v, prob, y_star, value, x, tau_sched.value(k), config.knob,
-            lam=kernel.lam)
+            z, kernel.v, prob, y_star, value, x, tau_sched.value(k), lam=kernel.lam)
         return x_new, math.fsum(gaps.tolist()), gaps, bounds
 
     return _iterate(prob, config, x0, "ipga1p", "value", perturb)
@@ -501,7 +496,7 @@ def run_ipga_2p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
         delta = y_star - x
         i = ((delta != 0.0) & (y_star != 0.0)).nonzero()[0]  # moving
         d, ys = delta[i], y_star[i]
-        s = config.knob * t_k * np.abs(d) / (1.0 - t_k)
+        s = BUDGET_SHARE * t_k * np.abs(d) / (1.0 - t_k)
         y = ys + np.copysign(s, d)
         x_new = y_star.copy()
         x_new[i] = y

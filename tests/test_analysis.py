@@ -77,9 +77,10 @@ def test_h2_fails_closed_on_nan():
 
 
 def test_h1_eps_allows_increase():
-    trace = _fake_trace([1.0, 1.05, 1.0], [0.1, 0.1], eps=[0.2, 0.0])
-    report = certify_h1(trace, alpha=1.0, eps_sq=[0.2, 0.1])
-    assert report.ok
+    trace = _fake_trace([1.0, 1.05, 1.0], [0.1, 0.1], eps=[0.2, 0.1])
+    assert certify_h1(dataclasses.replace(trace, eps_kind="value"), alpha=1.0).ok
+    # only value gaps enter H1; without them the increase is a violation
+    assert not certify_h1(dataclasses.replace(trace, eps_kind="dist"), alpha=1.0).ok
 
 
 def test_h2_critical_point_trace(one_dim, one_dim_tstar):

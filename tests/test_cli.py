@@ -147,8 +147,12 @@ def test_certify_command(tmp_path):
     assert report["ok"] and report["h1"]["ok"] and report["h2"]["ok"]
 
 
-def test_repro_unknown_id(tmp_path):
+def test_repro_unknown_id(tmp_path, capsys):
     assert run_cli("--out-dir", str(tmp_path), "--quiet", "repro", "nope") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown experiment 'nope'; known: [")
+    assert "'prox-pin'" in err
+    assert not (tmp_path / "repro-nope-manifest.json").exists()
 
 
 def test_repro_prox_pin_and_manifest(tmp_path):
@@ -282,6 +286,60 @@ def test_solve_inexact_matches_the_library_run(tmp_path, algo, schedule, column)
     config = json.loads((tmp_path / "solve-manifest.json").read_text())["config"]
     assert config["inexact"] == [float(x) for x in schedule]
     assert "tau" not in config and "t" not in config
+
+
+@pytest.mark.parametrize("flag, value", [("--p", "0.3"), ("--lambda", "5"),
+                                         ("--knob", "0.5")])
+def test_solve_takes_no_objective_or_share_flags(tmp_path, capsys, flag, value):
+    # p and lambda come from the problem file only, as certify and rate read them
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.json")
+    capsys.readouterr()
+    assert _solve(tmp_path, "pga", flag, value) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "solve-manifest.json").exists()
+
+
+def test_certify_refuses_a_truncated_trace(tmp_path, capsys):
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.json")
+    assert _solve(tmp_path, "ipga1p", "--inexact", "0.1", "0.5") == 0
+    lines = (tmp_path / "t.csv").read_text().splitlines(keepends=True)
+    assert len(lines) > 101
+    (tmp_path / "t.csv").write_text("".join(lines[:101]))
+    capsys.readouterr()
+    code = run_cli("--out-dir", str(tmp_path), "--quiet", "certify",
+                   "--trace", str(tmp_path / "t.csv"),
+                   "--problem", str(tmp_path / "p.json"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: line 101: final row's")
+    assert not (tmp_path / "certify-report.json").exists()
+
+
+def test_certify_refuses_a_nonpositive_alpha(tmp_path, capsys):
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.json")
+    assert _solve(tmp_path, "pga") == 0
+    prob = load_problem(tmp_path / "p.json")
+    capsys.readouterr()
+    # a stepsize at the bound 1/(2 ||A||^2) leaves no sufficient decrease
+    code = run_cli("--out-dir", str(tmp_path), "--quiet", "certify",
+                   "--trace", str(tmp_path / "t.csv"),
+                   "--problem", str(tmp_path / "p.json"),
+                   "--v", str(1.0 / spectral_norm_sq(prob)))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: nonpositive alpha ")
+    assert not (tmp_path / "certify-manifest.json").exists()
+
+
+def test_rate_needs_a_reference_value(tmp_path, capsys):
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.json")
+    assert _solve(tmp_path, "pga") == 0
+    capsys.readouterr()
+    code = run_cli("--out-dir", str(tmp_path), "--quiet", "rate",
+                   "--trace", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: rate needs --fstar or --problem for the reference value\n")
+    assert not (tmp_path / "rate-manifest.json").exists()
 
 
 def test_solve_pga_refuses_a_schedule(tmp_path, capsys):

@@ -345,8 +345,11 @@ HEADER = "k,F,step_norm,residual,support_size,eps_k\n"
     (HEADER + "7,1.0,0.5,0.0,-3,0.0\n3,0.9,0.0,0.0,-1,0.0\n", 2, "k=7"),
     (HEADER + "0,1.0,0.5,0.0,1,0.0\n2,0.9,0.0,0.0,1,0.0\n", 3, "k=2"),
     (HEADER + "0,1.0,0.5,0.0,1,0.0\n1,0.9,0.0,0.0,-1,0.0\n", 3, "negative support_size"),
+    # a final row with a step or an eps lost the rows after it
+    (HEADER + "0,1.0,0.5,0.0,1,0.0\n1,0.9,0.25,0.0,1,0.0\n", 3, "truncated"),
+    (HEADER + "0,1.0,0.5,0.0,1,0.0\n1,0.9,0.0,0.0,1,1e-300\n", 3, "truncated"),
 ], ids=["header-only", "unknown-eps-column", "k-not-from-0", "k-skips",
-        "negative-support"])
+        "negative-support", "final-step-nonzero", "final-eps-nonzero"])
 def test_trace_rejects_malformed_file(tmp_path, text, line, message):
     path = tmp_path / "trace.csv"
     path.write_text(text)

@@ -16,7 +16,7 @@ from lpreg import (
 )
 from lpreg.errors import ValidationError
 from lpreg.experiments import ARGMIN_TOL, MAGNITUDE_SLACK, VALUE_TOL
-from lpreg.prox import GPRIME_TOL, TIE_TOL, _Prepared
+from lpreg.prox import BUDGET_SHARE, GPRIME_TOL, TIE_TOL, _Prepared
 
 from conftest import scalar_newton_oracle
 
@@ -239,13 +239,13 @@ def test_prox_accepts_at_the_ieee_floor():
     assert sel[0] != 0.0 and sel[2] != 0.0
 
 
-def _inexact(q, x, tau, knob=0.9, value_shift=0.0):
+def _inexact(q, x, tau, value_shift=0.0):
     """prox_inexact_value on the one-coordinate problem of q, stepping from x."""
     prob = Problem(A=np.eye(1), b=np.zeros(1), lam=q.lam, p=q.p)
     z = np.array([q.z])
     y_star, value = prox_vector(z, q.v, prob)
     y, gaps, bounds = prox_inexact_value(z, q.v, prob, y_star, value - value_shift,
-                                         np.array([x]), tau, knob)
+                                         np.array([x]), tau)
     return float(y[0]), float(gaps[0]), float(bounds[0])
 
 
@@ -258,11 +258,12 @@ def test_inexact_value_consumes_budget():
     q = ProxQuery(z=10.0, v=1.0, lam=1.0, p=0.5)
     exact = prox_scalar(q)
     tau = 1e-5
-    y, gap, bound = _inexact(q, 0.0, tau, knob=1.0)
+    y, gap, bound = _inexact(q, 0.0, tau)
     delta = exact.selection
     # the closed-form shift, away from x = 0
-    assert_allclose(y - exact.selection, np.sqrt(2.0 * q.v * tau) * delta, rtol=1e-12)
-    assert 0.0 < gap <= tau * delta**2 <= bound == tau * y**2
+    assert_allclose(y - exact.selection, np.sqrt(2.0 * q.v * BUDGET_SHARE * tau) * delta,
+                    rtol=1e-12)
+    assert 0.0 < gap <= BUDGET_SHARE * tau * delta**2 <= bound == tau * y**2
     # the reported gap is the recomputed one
     assert_allclose(gap, g_val(q, y) - exact.value, rtol=1e-9, atol=1e-15)
 
@@ -272,7 +273,7 @@ def test_inexact_value_huge_budget_stays_feasible():
     y_star = prox_scalar(q).selection
     # the shift is capped at |y*| / 2, away from x on either side of y*
     for x, expected in ((0.0, 1.5 * y_star), (20.0, 0.5 * y_star)):
-        y, gap, bound = _inexact(q, x, 1e9, knob=1.0)
+        y, gap, bound = _inexact(q, x, 1e9)
         assert y == expected
         assert 0.0 < gap <= bound
 
@@ -286,16 +287,16 @@ def test_inexact_value_budget_never_exceeded():
         z = rng.uniform(-12, 12, size=n)
         y_star, value = prox_vector(z, v, prob)
         x = np.where(rng.random(n) < 0.2, y_star, rng.uniform(-12, 12, size=n))
-        tau, knob = float(rng.uniform(0, 1e-2)), float(rng.uniform(0, 1))
-        y, gaps, bounds = prox_inexact_value(z, v, prob, y_star, value, x, tau, knob)
+        tau = float(rng.uniform(0, 1e-2))
+        y, gaps, bounds = prox_inexact_value(z, v, prob, y_star, value, x, tau)
         assert np.all(gaps <= bounds)
         assert np.array_equal(bounds, tau * (y - x) ** 2)
         for i in range(n):
             qi = ProxQuery(z=float(z[i]), v=v, lam=float(prob.lambda_vec[i]), p=p)
             exact = prox_scalar(qi)
             assert value[i] == exact.value
-            # the true gap fits the share knob of the budget tau * delta^2
-            budget = knob * tau * (y_star[i] - x[i]) ** 2
+            # the true gap fits BUDGET_SHARE of the budget tau * delta^2
+            budget = BUDGET_SHARE * tau * (y_star[i] - x[i]) ** 2
             assert g_val(qi, y[i]) - exact.value <= budget + 1e-12 * (1 + exact.value)
 
 
@@ -387,9 +388,9 @@ def test_tie_reporting():
 
 def test_inexact_validation():
     q = ProxQuery(z=1.0, v=1.0, lam=1.0, p=0.5)
-    for tau, knob in ((-1.0, 0.9), (math.nan, 0.9), (1.0, 2.0)):
+    for tau in (-1.0, math.nan):
         with pytest.raises(ValidationError):
-            _inexact(q, 0.0, tau, knob)
+            _inexact(q, 0.0, tau)
 
 
 def test_inexact_value_returns_at_a_tie():

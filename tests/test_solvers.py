@@ -25,7 +25,7 @@ from lpreg import solvers
 from lpreg.errors import StepsizeError, ValidationError
 from lpreg.experiments import make_instances
 from lpreg.problem import SPECTRAL_TOL, _columns
-from lpreg.prox import _Prepared
+from lpreg.prox import BUDGET_SHARE, _Prepared
 from lpreg.solvers import (
     IterationTrace,
     Schedule,
@@ -212,7 +212,7 @@ def test_ipga1p_shift_stays_within_its_closed_form(small_instance):
     cfg = SolverConfig(v=default_stepsize(prob), inexact=tau)
     trace = run_ipga_1p(prob, cfg)
     for k, v, x, y_star, x_new in _exact_prox_steps(prob, trace):
-        limit = np.sqrt(2.0 * v * cfg.knob * tau.value(k)) * np.abs(y_star - x)
+        limit = np.sqrt(2.0 * v * BUDGET_SHARE * tau.value(k)) * np.abs(y_star - x)
         # one rounding of y* + s may land up to half an ulp of y* past s
         assert np.all(np.abs(x_new - y_star) <= limit + np.spacing(np.abs(y_star))), k
 
@@ -474,13 +474,13 @@ def _full_vector_run(prob, cfg, algo):
         y, value = prox_vector(z, v, prob)
         if algo == "ipga1p":
             y, cert, bound = prox_inexact_value(z, v, prob, y, value, x,
-                                                cfg.inexact.value(k), cfg.knob)
+                                                cfg.inexact.value(k))
         elif algo == "ipga2p":
             t = cfg.inexact.value(k)
             d = y - x
             moving = (d != 0.0) & (y != 0.0)
             y_star = y.copy()
-            y[moving] += np.copysign(cfg.knob * t * np.abs(d[moving]) / (1.0 - t),
+            y[moving] += np.copysign(BUDGET_SHARE * t * np.abs(d[moving]) / (1.0 - t),
                                      d[moving])
             cert = np.abs(y - y_star)
             bound = np.where(moving, t * np.abs(y - x), 0.0)
