@@ -215,14 +215,14 @@ def cmd_certify(args) -> tuple[int, dict]:
 
 
 def cmd_rate(args) -> tuple[int, dict]:
+    if args.fstar is None and args.problem is None:
+        raise ValidationError("rate needs --fstar or --problem for the reference value")
     trace = problem.load_trace(args.trace)
     if args.fstar is not None:
         f_star = args.fstar
-    elif args.problem is not None:
+    else:
         prob = problem.load_problem(args.problem)
         _, f_star = experiments.reference_solution(prob)
-    else:
-        raise ValidationError("rate needs --fstar or --problem for the reference value")
     est = analysis.fit_rate(trace, "objective-gap", f_star=f_star,
                             tail_frac=args.tail_frac)
     report = {

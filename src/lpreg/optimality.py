@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PolishError, ValidationError
-from .problem import Problem, gradient_smooth, objective
+from .problem import Problem, _rows, gradient_smooth, objective
 from .solvers import residual_on_support
 
 __all__ = [
@@ -77,7 +77,7 @@ def second_order_matrix(prob: Problem, x) -> np.ndarray:
     """M(x) = 2 A_I^T A_I + lambda_I p (p-1) diag(|x_I|^{p-2}) on supp(x)."""
     x = np.asarray(x, dtype=np.float64)
     idx = np.flatnonzero(x)
-    A_I = prob.A[:, idx]
+    A_I = prob.A[:, idx]  # a column-major copy, whatever A's own layout
     return _reduced_hessian(2.0 * A_I.T @ A_I, prob.lambda_vec[idx], prob.p, x[idx])
 
 
@@ -120,7 +120,8 @@ def default_probe_delta(prob: Problem, x) -> float:
     if off.any():
         grad_off = gradient_smooth(prob, x)[off]
         slope = float(np.linalg.norm(grad_off))
-        curvature = 2.0 * float(np.sum(prob.A * prob.A))
+        A = _rows(prob.A)
+        curvature = 2.0 * float(np.sum(A * A))
         lam_off = float(prob.lambda_vec[off].min())
         denom = slope + (0.0 if nz.size == 0 else curvature + 1.0)
         if denom > 0.0:
@@ -276,13 +277,14 @@ def polish_local_minimum(prob: Problem, x) -> np.ndarray:
     return out
 
 
-def _coordinate_floor(prob: Problem, i: int) -> float:
-    """Smallest magnitude coordinate i can have at a second-order point.
+def _coordinate_floor(prob: Problem, A: np.ndarray, i: int) -> float:
+    """Smallest magnitude coordinate i can have at a second-order point,
+    given ``A = _rows(prob.A)``.
 
     The 1x1 principal minor of M(x) must be nonnegative, which gives
     |x_i| >= (lambda_i p (1-p) / (2 ||A_i||^2))^(1/(2-p)).
     """
-    col_sq = float(prob.A[:, i] @ prob.A[:, i])
+    col_sq = float(A[:, i] @ A[:, i])
     if col_sq == 0.0:
         return 1.0
     lam = float(prob.lambda_vec[i])
@@ -314,11 +316,12 @@ def enumerate_local_minima(
         raise ValidationError(
             f"enumeration is limited to n <= {ENUMERATE_MAX_N}, got n = {prob.n}"
         )
-    floors = np.array([_coordinate_floor(prob, i) for i in range(prob.n)])
-    col_sq = np.einsum("ij,ij->j", prob.A, prob.A)
+    A = _rows(prob.A)
+    floors = np.array([_coordinate_floor(prob, A, i) for i in range(prob.n)])
+    col_sq = np.einsum("ij,ij->j", A, A)
     with np.errstate(divide="ignore", invalid="ignore"):
         ls_scale = np.where(
-            col_sq > 0.0, np.abs(prob.A.T @ prob.b) / np.where(col_sq > 0, col_sq, 1.0), 1.0
+            col_sq > 0.0, np.abs(A.T @ prob.b) / np.where(col_sq > 0, col_sq, 1.0), 1.0
         )
     ls_scale = np.maximum(ls_scale, 2.0 * floors)
 
@@ -389,9 +392,10 @@ class HarnessReport:
 
 
 def _grid_radius(prob: Problem) -> float:
-    col_sq = np.einsum("ij,ij->j", prob.A, prob.A)
+    A = _rows(prob.A)
+    col_sq = np.einsum("ij,ij->j", A, A)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(col_sq > 0, np.abs(prob.A.T @ prob.b) / np.where(col_sq > 0, col_sq, 1.0), 0.0)
+        scale = np.where(col_sq > 0, np.abs(A.T @ prob.b) / np.where(col_sq > 0, col_sq, 1.0), 0.0)
     return 1.0 + 2.0 * float(scale.max(initial=0.0))
 
 

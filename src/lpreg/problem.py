@@ -41,9 +41,24 @@ __all__ = [
 # rounds low.
 SPECTRAL_TOL = 1e-10
 
+# float64 values per block (192 KiB) that a row-major copy of part of A or
+# a file write handles at once
+_BLOCK = 3 << 13
 
-def _as_readonly(a, dtype=np.float64):
-    out = np.array(a, dtype=dtype, copy=True)
+
+def _as_readonly(a, order="K"):
+    """A read-only float64 array of ``a``.  A read-only, contiguous 1-D
+    float64 array over immutable ``bytes`` (np.frombuffer of a decoded
+    payload) is taken as it is; any other input is copied, a read-only view
+    of a writable array too, so that no caller can write through it."""
+    if (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.float64
+            and a.flags.c_contiguous and not a.flags.writeable):
+        base = a.base
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if isinstance(base, bytes):
+            return a
+    out = np.array(a, dtype=np.float64, order=order, copy=True)
     out.setflags(write=False)
     return out
 
@@ -55,6 +70,9 @@ class Problem:
     ``weights`` holds per-coordinate regularization weights; absent means the
     uniform weight ``lam`` for every coordinate.  Instances compare by
     identity: an elementwise ``==`` of the arrays has no single truth value.
+    ``A`` is held read-only in column-major order, so ``A.T`` is the
+    C-ordered array whose rows are the columns of A, which the solvers'
+    products read without a copy.
     """
 
     A: np.ndarray
@@ -69,7 +87,7 @@ class Problem:
     _a_sq: float | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        A = _as_readonly(np.atleast_2d(self.A))
+        A = _as_readonly(np.atleast_2d(self.A), order="F")
         b = _as_readonly(np.atleast_1d(self.b))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -147,18 +165,32 @@ def _objective_at(prob: Problem, r: np.ndarray, lam: np.ndarray,
 # disagree with ``objective`` and ``gradient_smooth`` in the last bits.
 
 def _columns(A: np.ndarray, idx=slice(None)) -> np.ndarray:
-    """The columns idx of A as the rows of a C-ordered array."""
+    """The columns idx of A as the rows of a C-ordered array: a view of the
+    column-major ``Problem.A`` for every column, a copy for a subset."""
     return np.ascontiguousarray(A[:, idx].T)
+
+
+def _rows(A: np.ndarray) -> np.ndarray:
+    """A row-major (C-ordered) copy of the column-major ``Problem.A`` or of
+    a block of its rows, for readers whose rounding follows the layout:
+    BLAS products, ``einsum`` and ``np.sum`` reduce in memory order."""
+    return np.ascontiguousarray(A)
 
 
 def _residual(prob: Problem, x: np.ndarray):
     """supp(x) and r = A x - b, each entry of A x a dot product over supp(x).
 
-    A dense x takes the rows of A as they are, with no copy of A[:, supp].
+    A dense x takes the rows of a row-major copy of A, not of A[:, supp].
+    A larger A than one block is copied a block of rows at a time, at least
+    8 rows so that the copy reads whole cache lines of the column-major A.
     """
     idx = x.nonzero()[0]
     if idx.size == x.size:
-        return idx, np.vecdot(np.ascontiguousarray(prob.A), x) - prob.b
+        A, k = prob.A, max(8, _BLOCK // prob.n)
+        if k >= prob.m:
+            return idx, np.vecdot(_rows(A), x) - prob.b
+        ax = [np.vecdot(_rows(A[i:i + k]), x) for i in range(0, prob.m, k)]
+        return idx, np.concatenate(ax) - prob.b
     return idx, np.vecdot(np.ascontiguousarray(prob.A[:, idx]), x[idx]) - prob.b
 
 
@@ -187,11 +219,17 @@ def spectral_norm_sq(prob: Problem) -> float:
     The result is exact up to rounding of order max(m, n) * eps * ||A||^2,
     which ``spectral_upper_bound`` covers while max(m, n) stays below about
     4e5 (eps = 2.2e-16).  A is read-only, so the value is computed once per
-    Problem and kept on it.
+    Problem and kept on it.  The Gram matrix of the column-major A has the
+    bits of the row-major one's (pinned by the tests).  A Gram matrix that
+    overflows is a ValidationError, not a warning or a failed eigensolve.
     """
     if prob._a_sq is None:
         A = prob.A
-        G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+        if not np.isfinite(G).all():
+            raise ValidationError("||A||^2 overflows: the Gram matrix of A "
+                                  "is not finite")
         object.__setattr__(prob, "_a_sq", float(np.linalg.eigvalsh(G)[-1]))
     return prob._a_sq
 
@@ -224,7 +262,8 @@ def generate_instance(
     if not (0.0 <= noise < math.inf):  # NaN fails too
         raise ValidationError(f"noise level must be finite and nonnegative, got {noise}")
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, n)) / math.sqrt(m)
+    A = rng.standard_normal((m, n))
+    A /= math.sqrt(m)
     x0 = np.zeros(n)
     support = rng.choice(n, size=s, replace=False)
     signs = rng.choice([-1.0, 1.0], size=s)
@@ -245,7 +284,9 @@ def generate_instance(
 # string holding the base64 of its little-endian float64 bytes in
 # row-major order, whose shape is the header's.  save_problem writes the
 # string form: it is exact, and reading it builds no Python float per
-# entry.
+# entry.  It writes the file in blocks of a few hundred KiB, and a load
+# drops each payload string as soon as it is decoded, so neither holds a
+# second whole-payload copy of A.
 #
 # Trace file: CSV with header k,F,step_norm,residual,support_size and an
 # eps column named after the trace's eps kind: eps_k for an exact run,
@@ -279,6 +320,9 @@ def _float_array(value, shape) -> np.ndarray:
     the base64 string of its float64 bytes; strings in a list, booleans,
     invalid base64 and a byte count other than the shape's are errors."""
     if isinstance(value, str):
+        if not value.isascii():
+            raise ValueError("string argument should contain only ASCII characters")
+        value = value.encode("ascii")  # drops the string's last reference
         raw, size = base64.b64decode(value, validate=True), 8 * math.prod(shape)
         if len(raw) != size:
             raise ValueError(f"payload holds {len(raw)} bytes, header shape "
@@ -291,13 +335,14 @@ def _float_array(value, shape) -> np.ndarray:
 
 
 def _field(data, key, convert, shape=None):
-    """``convert(data[key])``, or ``convert(data[key], shape)`` for an array
-    of the header's ``shape``, whose shape it then checks.
+    """``convert(data[key])``, or ``convert(data.pop(key), shape)`` for an
+    array of the header's ``shape``, whose shape it then checks: the dict
+    lets go of the payload, so it is freed as it is decoded.
 
     A value that fails either is a ProblemFormatError naming the field.
     """
     try:
-        value = convert(data[key]) if shape is None else convert(data[key], shape)
+        value = convert(data[key]) if shape is None else convert(data.pop(key), shape)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"field {key!r}: {exc}") from exc
     if shape is not None and value.shape != shape:
@@ -330,26 +375,43 @@ def load_problem(path) -> Problem:
         raise ProblemFormatError(str(exc)) from exc
 
 
-def _payload(arr: np.ndarray) -> str:
-    """The base64 of an array's little-endian float64 bytes, row-major."""
-    return base64.b64encode(arr.astype("<f8", copy=False).tobytes()).decode("ascii")
+def _write_payload(fh, arr: np.ndarray) -> None:
+    """Write the base64 of an array's little-endian float64 bytes in
+    row-major order, a block of rows or of one row at a time; the bytes
+    past a multiple of 3 carry into the next block."""
+    a = arr.reshape(1, -1) if arr.ndim == 1 else arr
+    rows, cols = max(1, _BLOCK // a.shape[1]), min(a.shape[1], _BLOCK)
+    carry = b""
+    for i in range(0, a.shape[0], rows):
+        for j in range(0, a.shape[1], cols):
+            block = carry + a[i:i + rows, j:j + cols].astype("<f8", copy=False).tobytes()
+            cut = len(block) - len(block) % 3
+            fh.write(base64.b64encode(memoryview(block)[:cut]))
+            carry = block[cut:]
+    fh.write(base64.b64encode(carry))
 
 
 def save_problem(path, prob: Problem) -> None:
-    """Write a problem instance to its JSON file, arrays as exact bytes."""
-    data = {
-        "m": prob.m,
-        "n": prob.n,
-        "p": float(prob.p),
-        "lambda": float(prob.lam),
-        "A": _payload(prob.A),
-        "b": _payload(prob.b),
-    }
+    """Write a problem instance to its JSON file, arrays as exact bytes.
+
+    The file is the compact, key-sorted ``json.dumps`` of the header and the
+    base64 strings, written field by field without building either whole.
+    """
+    fields = {"m": prob.m, "n": prob.n, "p": float(prob.p),
+              "lambda": float(prob.lam), "A": prob.A, "b": prob.b}
     if prob.weights is not None:
-        data["weights"] = _payload(prob.weights)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(data, indent=None, separators=(",", ":"), sort_keys=True))
-        fh.write("\n")
+        fields["weights"] = prob.weights
+    with open(path, "wb") as fh:
+        for i, key in enumerate(sorted(fields)):
+            value = fields[key]
+            fh.write((b"," if i else b"{") + json.dumps(key).encode("ascii") + b":")
+            if isinstance(value, np.ndarray):
+                fh.write(b'"')
+                _write_payload(fh, value)
+                fh.write(b'"')
+            else:
+                fh.write(json.dumps(value).encode("ascii"))
+        fh.write(b"}\n")
 
 
 TRACE_COLUMNS = ("k", "F", "step_norm", "residual", "support_size")

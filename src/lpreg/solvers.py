@@ -382,7 +382,7 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
         coord_bounds=[] if keep_coords else None,
         working_set_sizes=[], refreshes=[])
 
-    cols = _columns(prob.A)  # row j is column j of A, for every product
+    cols = _columns(prob.A)  # row j is column j of A (a view), for every product
     col_norm = np.sqrt(np.vecdot(cols, cols))
     gamma = (prob.m + 4) * EPS
     J = x.nonzero()[0]  # until the first full product

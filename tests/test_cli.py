@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from lpreg import (
+    Problem,
     ProxQuery,
     Schedule,
     SolverConfig,
     default_stepsize,
+    generate_instance,
     load_problem,
     load_trace,
     prox_scalar,
     run_pga,
+    save_problem,
     save_trace,
     spectral_norm_sq,
 )
@@ -340,6 +343,23 @@ def test_rate_needs_a_reference_value(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: rate needs --fstar or --problem for the reference value\n")
     assert not (tmp_path / "rate-manifest.json").exists()
+
+
+def test_rate_checks_its_flags_before_reading_the_trace(tmp_path, capsys):
+    code = run_cli("--out-dir", str(tmp_path), "--quiet", "rate",
+                   "--trace", str(tmp_path / "nowhere.csv"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: rate needs --fstar or --problem for the reference value\n")
+
+
+def test_solve_refuses_an_overflowing_norm(tmp_path, capsys):
+    prob, _ = generate_instance(seed=1, m=5, n=8, s=2)
+    save_problem(tmp_path / "p.json",
+                 Problem(A=1e160 * prob.A, b=prob.b, lam=prob.lam, p=prob.p))
+    assert _solve(tmp_path, "pga") == 1
+    assert capsys.readouterr().err.startswith("error: ||A||^2 overflows")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_solve_pga_refuses_a_schedule(tmp_path, capsys):

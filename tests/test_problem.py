@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from lpreg.errors import (
     ValidationError,
 )
 from lpreg.experiments import make_instances
-from lpreg.problem import SPECTRAL_TOL
+from lpreg.problem import SPECTRAL_TOL, _columns, _residual
 from lpreg.solvers import (
     Schedule,
     SolverConfig,
@@ -222,7 +224,22 @@ def test_problem_file_bytes_equal_a_streamed_json_dump(tmp_path):
     weighted = Problem(A=prob.A, b=prob.b, lam=1 / 3, p=0.1 + 0.2,
                        weights=[5e-324, 1 / 3, 0.1 + 0.2, 1.7976931348623157e308,
                                 1.0, 2.0])
-    for prob in (prob, weighted):
+    # every byte count modulo 3 ("=" and "==" padding), a tall A, F-ordered
+    # and strided inputs, and arrays that span several write blocks, whose
+    # bytes past a multiple of 3 carry into the next block
+    rng = np.random.default_rng(5)
+    others = [
+        Problem(A=[[0.1 + 0.2]], b=[1 / 3], lam=0.25, p=0.5),
+        Problem(A=rng.standard_normal((60, 8)), b=rng.standard_normal(60),
+                lam=0.25, p=0.5),
+        Problem(A=rng.standard_normal((2, 1)), b=[5e-324, -0.0], lam=0.25, p=0.5,
+                weights=[1.7976931348623157e308]),
+        Problem(A=np.asfortranarray(rng.standard_normal((7, 5000))),
+                b=rng.standard_normal(14)[::2], lam=0.25, p=0.5),
+        Problem(A=rng.standard_normal((4, 60003))[::2, ::2], b=rng.standard_normal(2),
+                lam=0.25, p=0.5, weights=rng.random(30002) + 0.5),
+    ]
+    for prob in (prob, weighted, *others):
         rows = prob.A.tolist()
         data = {"m": prob.m, "n": prob.n, "p": prob.p, "lambda": prob.lam,
                 "A": _b64([x for row in rows for x in row]), "b": _b64(prob.b.tolist())}
@@ -234,6 +251,114 @@ def test_problem_file_bytes_equal_a_streamed_json_dump(tmp_path):
             fh.write("\n")
         save_problem(tmp_path / "prob.json", prob)
         assert (tmp_path / "prob.json").read_bytes() == ref.read_bytes()
+
+
+def test_problem_copies_its_inputs():
+    A, b, w = np.eye(2), np.ones(2), np.full(2, 0.5)
+    prob = Problem(A=A, b=b, lam=0.1, p=0.5, weights=w)
+    A[0, 0] = b[0] = w[0] = 7.0
+    assert prob.A[0, 0] == prob.b[0] == 1.0 and prob.weights[0] == 0.5
+    # a read-only view of a writable array is copied too
+    view = b.view()
+    view.setflags(write=False)
+    prob = Problem(A=A, b=view, lam=0.1, p=0.5)
+    b[1] = 9.0
+    assert prob.b[1] == 1.0 and not np.shares_memory(prob.b, b)
+    assert not (prob.A.flags.writeable or prob.b.flags.writeable)
+
+
+def test_loaded_problem_holds_one_copy_of_each_array(tmp_path):
+    prob, _ = generate_instance(seed=3, m=4, n=6, s=2, noise=0.05, lam=0.3, p=0.6)
+    prob = Problem(A=prob.A, b=prob.b, lam=0.3, p=0.6, weights=np.linspace(0.5, 2.0, 6))
+    save_problem(tmp_path / "p.json", prob)
+    loaded = load_problem(tmp_path / "p.json")
+    # b and weights lie over their decoded payloads; A is one column-major
+    # copy, whose transpose the solvers read without another
+    for arr in (loaded.b, loaded.weights):
+        base = arr.base
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, bytes) and not arr.flags.writeable
+    assert loaded.A.flags.f_contiguous and not loaded.A.flags.writeable
+    assert np.shares_memory(_columns(loaded.A), loaded.A)
+
+
+def test_spectral_norm_matches_the_row_major_gram():
+    # ||A||^2 reads the column-major A, and must keep the row-major Gram
+    # matrix's bits; the tall branch (A^T A) too
+    rng = np.random.default_rng(0)
+    probs = make_instances() + [
+        generate_instance(seed=1, m=200, n=2000, s=20)[0],
+        Problem(A=rng.standard_normal((60, 8)), b=np.zeros(60), lam=1, p=0.5),
+    ]
+    for prob in probs:
+        A = np.ascontiguousarray(prob.A)
+        G = A @ A.T if prob.m <= prob.n else A.T @ A
+        assert spectral_norm_sq(prob) == float(np.linalg.eigvalsh(G)[-1])
+        # the optimality readers' A[:, idx] copies have the row-major one's layout
+        idx = np.flatnonzero(rng.random(prob.n) < 0.3)
+        assert prob.A[:, idx].strides == A[:, idx].strides
+
+
+def test_spectral_norm_fails_closed_on_overflow():
+    prob, _ = generate_instance(seed=1, m=5, n=8, s=2)
+    huge = Problem(A=1e160 * prob.A, b=prob.b, lam=prob.lam, p=prob.p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match=r"\|\|A\|\|\^2 overflows"):
+            spectral_norm_sq(huge)
+
+
+@pytest.fixture(scope="module")
+def wide_instance(tmp_path_factory):
+    # A is 15.3 MiB and its file 20.35 MiB
+    path = tmp_path_factory.mktemp("wide") / "p.json"
+    prob, _ = generate_instance(seed=1, m=100, n=20_000, s=10)
+    return prob, path
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_problem_writes_in_blocks(wide_instance):
+    prob, path = wide_instance
+    peak, _ = _traced_peak(save_problem, path, prob)
+    assert peak < 2**20
+
+
+def test_load_problem_holds_the_text_and_one_payload(wide_instance):
+    prob, path = wide_instance
+    save_problem(path, prob)
+    payload = 4 * math.ceil(prob.A.nbytes / 3)
+    peak, loaded = _traced_peak(load_problem, path)
+    assert loaded.A.tobytes() == prob.A.tobytes()
+    assert peak <= path.stat().st_size + payload + 2**20
+
+
+def test_dense_residual_copies_a_block_of_rows(wide_instance):
+    # each entry is the dot product of one contiguous row of A with x, as
+    # on a whole row-major copy, without building that copy
+    prob, _ = wide_instance
+    x = np.random.default_rng(2).standard_normal(prob.n)
+    ref = np.vecdot(np.ascontiguousarray(prob.A), x) - prob.b
+    peak, (_, r) = _traced_peak(_residual, prob, x)
+    assert r.tobytes() == ref.tobytes()
+    assert peak < prob.A.nbytes / 2
+
+
+def test_run_pga_makes_no_copy_of_a(wide_instance):
+    prob, _ = wide_instance
+    spectral_norm_sq(prob)
+    cfg = SolverConfig(v=default_stepsize(prob), max_iters=20)
+    peak, trace = _traced_peak(run_pga, prob, cfg)
+    assert len(trace) == 21
+    assert peak < prob.A.nbytes / 2
 
 
 def test_problem_file_list_form_loads_as_the_written_form(tmp_path):
