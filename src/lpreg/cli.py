@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--noise", type=float, default=0.0)
     g.add_argument("--lambda", dest="lam", type=float, default=0.1)
     g.add_argument("--p", type=float, default=0.5)
-    g.add_argument("--out", default="problem.json")
+    g.add_argument("--out", default="problem.lpreg")
     g.set_defaults(func=cmd_generate)
 
     s = sub.add_parser("solve", help="run a solver and write its trace")

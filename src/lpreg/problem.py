@@ -17,6 +17,7 @@ import base64
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,8 +42,8 @@ __all__ = [
 # rounds low.
 SPECTRAL_TOL = 1e-10
 
-# float64 values per block (192 KiB) that a row-major copy of part of A or
-# a file write handles at once
+# float64 values per block (192 KiB) that a row-major copy of part of A
+# handles at once
 _BLOCK = 3 << 13
 
 
@@ -90,8 +91,13 @@ class Problem:
                 f"b has shape {b.shape}, expected ({A.shape[0]},)"
             )
         for name, arr in (("A", A), ("b", b)):
-            if not np.isfinite(arr).all():
+            # min and max are finite iff every entry is; isfinite builds an A-sized mask
+            if not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
                 raise ValidationError(f"{name} must be finite")
+        # F(0) = ||b||^2 over b / max|b_i|: Python floats overflow to inf silently
+        s = float(np.abs(b).max())
+        if s > 0 and not math.isfinite(s * s * float(np.dot(b / s, b / s))):
+            raise ValidationError("||b||^2 overflows: b must have a finite squared norm")
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValidationError(f"lambda must be positive, got {self.lam}")
         if not (0.0 < self.p < 1.0):
@@ -268,16 +274,19 @@ def generate_instance(
 # ---------------------------------------------------------------------------
 # File formats.
 #
-# Problem file: UTF-8 JSON object with sorted keys "m", "n", "p",
-# "lambda", optional "weights" (length n), "A" (m x n) and "b" (length m).
-# "m", "n", "p" and "lambda" are JSON numbers.  Each array is read in
-# either of two forms: a JSON list of numbers (A as m rows of n), or a
-# string holding the base64 of its little-endian float64 bytes in
-# row-major order, whose shape is the header's.  save_problem writes the
-# string form: it is exact, and reading it builds no Python float per
-# entry.  It writes the file in blocks of a few hundred KiB, and a load
-# drops each payload string as soon as it is decoded, so neither holds a
-# second whole-payload copy of A.
+# Problem file, as save_problem writes it: b"LPREGPB1", the header's length
+# as 8 little-endian bytes, the header (compact, key-sorted JSON with
+# "lambda", "m", "n", "p" and "weights", true when weights follow), then the
+# little-endian float64 bytes of A in column-major order (Problem.A's
+# layout), of b and of the weights, and nothing after them.  A load checks
+# the file's size against the header's shape before it allocates an array.
+#
+# Any other file is read as UTF-8 JSON, as earlier versions wrote and as
+# hand-written files are: keys "m", "n", "p", "lambda" (JSON numbers),
+# optional "weights" (length n), "A" (m x n) and "b" (length m), each array
+# a JSON list of numbers (A as m rows of n) or the base64 string of its
+# little-endian float64 bytes in row-major order.  A load drops each payload
+# string once it is decoded, so it holds at most the text and one payload.
 #
 # Trace file: CSV with header k,F,step_norm,residual,support_size and an
 # eps column named after the trace's eps kind: eps_k for an exact run,
@@ -289,7 +298,7 @@ def generate_instance(
 # is not 0.0 (a truncated file), so a certificate never sees them.
 # ---------------------------------------------------------------------------
 
-_REQUIRED_KEYS = ("m", "n", "p", "lambda", "A", "b")
+_MAGIC = b"LPREGPB1"
 
 
 def _integer(value) -> int:
@@ -349,68 +358,80 @@ def _field(data, key, convert, shape=None):
     return value
 
 
-def load_problem(path) -> Problem:
-    """Read a problem instance from its JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(exc.msg, line=exc.lineno) from exc
+def _header(data, keys) -> tuple[int, int, float, float]:
+    """m, n, lambda and p of a problem file's object, once it holds ``keys``."""
     if not isinstance(data, dict):
         raise ProblemFormatError("top-level value must be an object")
-    for key in _REQUIRED_KEYS:
+    for key in keys:
         if key not in data:
             raise ProblemFormatError(f"missing required field {key!r}")
-    m, n = _field(data, "m", _integer), _field(data, "n", _integer)
-    A = _field(data, "A", _float_array, (m, n))
-    b = _field(data, "b", _float_array, (m,))
+    return (_field(data, "m", _integer), _field(data, "n", _integer),
+            _field(data, "lambda", _number), _field(data, "p", _number))
+
+
+def _load_binary(fh) -> dict:
+    """Problem's fields from a binary problem file read past its magic."""
+    size, length = os.fstat(fh.fileno()).st_size, int.from_bytes(fh.read(8), "little")
+    if length > size - 16:
+        raise ProblemFormatError(f"header length {length} runs past the {size}-byte file")
+    try:
+        data = json.loads(fh.read(length))
+    except ValueError as exc:
+        raise ProblemFormatError(f"bad header: {exc}") from exc
+    m, n, lam, p = _header(data, ("m", "n", "p", "lambda", "weights"))
+    if not isinstance(weighted := data["weights"], bool):
+        raise ProblemFormatError(f"field 'weights': expected true or false, got {weighted!r}")
+    need, held = 8 * (m * n + m + n * weighted), size - 16 - length
+    if min(m, n) < 1 or need != held:
+        raise ProblemFormatError(f"header shape ({m}, {n}), weights {weighted}, "
+                                 f"needs {need} bytes of arrays; the file holds {held}")
+    A, b, w = (np.empty(k, dtype="<f8") for k in (m * n, m, n * weighted))
+    if sum(fh.readinto(a) for a in (A, b, w)) != need:
+        raise ProblemFormatError("the file changed while it was read")
+    return dict(A=A.reshape(n, m).T, b=b, weights=w if weighted else None, lam=lam, p=p)
+
+
+def _load_json(fh) -> dict:
+    """Problem's fields from a JSON problem file, read from its start."""
+    fh.seek(0)
+    try:
+        data = json.loads(fh.read().decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(exc.msg, line=exc.lineno) from exc
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError(f"neither starts with {_MAGIC!r} nor is "
+                                 f"UTF-8 JSON: {exc.reason}") from exc
+    m, n, lam, p = _header(data, ("m", "n", "p", "lambda", "A", "b"))
     weights = None
     if data.get("weights") is not None:
         weights = _field(data, "weights", _float_array, (n,))
-    lam, p = _field(data, "lambda", _number), _field(data, "p", _number)
+    return dict(A=_field(data, "A", _float_array, (m, n)), lam=lam, p=p,
+                b=_field(data, "b", _float_array, (m,)), weights=weights)
+
+
+def load_problem(path) -> Problem:
+    """Read a problem instance from its file: the binary layout, or JSON
+    with its arrays as lists or base64 strings (see File formats)."""
+    with open(path, "rb") as fh:
+        fields = _load_binary(fh) if fh.read(len(_MAGIC)) == _MAGIC else _load_json(fh)
     try:
-        return Problem(A=A, b=b, lam=lam, p=p, weights=weights)
+        return Problem(**fields)
     except (ValidationError, DimensionMismatchError) as exc:
         raise ProblemFormatError(str(exc)) from exc
 
 
-def _write_payload(fh, arr: np.ndarray) -> None:
-    """Write the base64 of an array's little-endian float64 bytes in
-    row-major order, a block of rows or of one row at a time; the bytes
-    past a multiple of 3 carry into the next block."""
-    a = arr.reshape(1, -1) if arr.ndim == 1 else arr
-    rows, cols = max(1, _BLOCK // a.shape[1]), min(a.shape[1], _BLOCK)
-    carry = b""
-    for i in range(0, a.shape[0], rows):
-        for j in range(0, a.shape[1], cols):
-            block = carry + a[i:i + rows, j:j + cols].astype("<f8", copy=False).tobytes()
-            cut = len(block) - len(block) % 3
-            fh.write(base64.b64encode(memoryview(block)[:cut]))
-            carry = block[cut:]
-    fh.write(base64.b64encode(carry))
-
-
 def save_problem(path, prob: Problem) -> None:
-    """Write a problem instance to its JSON file, arrays as exact bytes.
-
-    The file is the compact, key-sorted ``json.dumps`` of the header and the
-    base64 strings, written field by field without building either whole.
-    """
-    fields = {"m": prob.m, "n": prob.n, "p": float(prob.p),
-              "lambda": float(prob.lam), "A": prob.A, "b": prob.b}
-    if prob.weights is not None:
-        fields["weights"] = prob.weights
+    """Write a problem instance in the binary layout (see File formats),
+    each array from its own buffer, so that the write copies none."""
+    header = json.dumps({"lambda": float(prob.lam), "m": prob.m, "n": prob.n,
+                         "p": float(prob.p), "weights": prob.weights is not None},
+                        separators=(",", ":"), sort_keys=True).encode("ascii")
     with open(path, "wb") as fh:
-        for i, key in enumerate(sorted(fields)):
-            value = fields[key]
-            fh.write((b"," if i else b"{") + json.dumps(key).encode("ascii") + b":")
-            if isinstance(value, np.ndarray):
-                fh.write(b'"')
-                _write_payload(fh, value)
-                fh.write(b'"')
-            else:
-                fh.write(json.dumps(value).encode("ascii"))
-        fh.write(b"}\n")
+        fh.write(_MAGIC + len(header).to_bytes(8, "little") + header)
+        # A.T is C-ordered, so its buffer is A's bytes in column-major order
+        for arr in (prob.A.T, prob.b, prob.weights):
+            if arr is not None:
+                fh.write(arr.astype("<f8", copy=False))
 
 
 TRACE_COLUMNS = ("k", "F", "step_norm", "residual", "support_size")

@@ -206,7 +206,7 @@ def test_problem_file_roundtrip(tmp_path):
     weighted = Problem(A=[edge, edge[::-1]], b=edge[:2], lam=1 / 3, p=0.1 + 0.2,
                        weights=[5e-324, 1 / 3, 0.1 + 0.2, 1.7976931348623157e308, 1.0])
     for prob in (prob, weighted):
-        path = tmp_path / "prob.json"
+        path = tmp_path / "prob.lpreg"
         save_problem(path, prob)
         loaded = load_problem(path)
         for name in ("A", "b", "weights"):
@@ -220,14 +220,23 @@ def _b64(values) -> str:
     return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
-def test_problem_file_bytes_equal_a_streamed_json_dump(tmp_path):
+def _binary(header, *arrays, magic=b"LPREGPB1") -> bytes:
+    """A binary problem file packed by struct, not lpreg: the magic, the
+    header's length, the header (a dict as compact sorted JSON, or bytes as
+    they are) and each array as little-endian doubles."""
+    if isinstance(header, dict):
+        header = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    body = b"".join(struct.pack(f"<{len(a)}d", *a) for a in arrays)
+    return magic + struct.pack("<Q", len(header)) + header + body
+
+
+def test_problem_file_bytes_equal_a_struct_packed_reference(tmp_path):
     prob, _ = generate_instance(seed=3, m=4, n=6, s=2, noise=0.05, lam=0.3, p=0.6)
     weighted = Problem(A=prob.A, b=prob.b, lam=1 / 3, p=0.1 + 0.2,
                        weights=[5e-324, 1 / 3, 0.1 + 0.2, 1.7976931348623157e308,
                                 1.0, 2.0])
-    # every byte count modulo 3 ("=" and "==" padding), a tall A, F-ordered
-    # and strided inputs, and arrays that span several write blocks, whose
-    # bytes past a multiple of 3 carry into the next block
+    # a 1 x 1 and a tall A, F-ordered and strided inputs, and arrays of
+    # several hundred KiB
     rng = np.random.default_rng(5)
     others = [
         Problem(A=[[0.1 + 0.2]], b=[1 / 3], lam=0.25, p=0.5),
@@ -241,17 +250,13 @@ def test_problem_file_bytes_equal_a_streamed_json_dump(tmp_path):
                 lam=0.25, p=0.5, weights=rng.random(30002) + 0.5),
     ]
     for prob in (prob, weighted, *others):
-        rows = prob.A.tolist()
-        data = {"m": prob.m, "n": prob.n, "p": prob.p, "lambda": prob.lam,
-                "A": _b64([x for row in rows for x in row]), "b": _b64(prob.b.tolist())}
-        if prob.weights is not None:
-            data["weights"] = _b64(prob.weights.tolist())
-        ref = tmp_path / "ref.json"
-        with open(ref, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=None, separators=(",", ":"), sort_keys=True)
-            fh.write("\n")
-        save_problem(tmp_path / "prob.json", prob)
-        assert (tmp_path / "prob.json").read_bytes() == ref.read_bytes()
+        columns = [x for col in zip(*prob.A.tolist()) for x in col]
+        weights = [] if prob.weights is None else prob.weights.tolist()
+        ref = _binary({"m": prob.m, "n": prob.n, "p": prob.p, "lambda": prob.lam,
+                       "weights": prob.weights is not None},
+                      columns, prob.b.tolist(), weights)
+        save_problem(tmp_path / "prob.lpreg", prob)
+        assert (tmp_path / "prob.lpreg").read_bytes() == ref
 
 
 def test_problem_copies_its_inputs():
@@ -271,8 +276,8 @@ def test_problem_copies_its_inputs():
 def test_loaded_problem_holds_one_copy_of_each_array(tmp_path):
     prob, _ = generate_instance(seed=3, m=4, n=6, s=2, noise=0.05, lam=0.3, p=0.6)
     prob = Problem(A=prob.A, b=prob.b, lam=0.3, p=0.6, weights=np.linspace(0.5, 2.0, 6))
-    save_problem(tmp_path / "p.json", prob)
-    loaded = load_problem(tmp_path / "p.json")
+    save_problem(tmp_path / "p.lpreg", prob)
+    loaded = load_problem(tmp_path / "p.lpreg")
     # A is one column-major copy, whose transpose the solvers read without another
     assert loaded.A.flags.f_contiguous and not loaded.A.flags.writeable
     assert np.shares_memory(_columns(loaded.A), loaded.A)
@@ -304,12 +309,30 @@ def test_spectral_norm_fails_closed_on_overflow():
             spectral_norm_sq(huge)
 
 
+def test_problem_fails_closed_on_an_overflowing_b(tmp_path):
+    prob, _ = generate_instance(seed=1, m=5, n=8, s=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1e160, 1e200):
+            with pytest.raises(ValidationError, match=r"\|\|b\|\|\^2 overflows"):
+                Problem(A=prob.A, b=scale * prob.b, lam=prob.lam, p=prob.p)
+            path = tmp_path / "b.lpreg"
+            path.write_bytes(_binary({"m": 5, "n": 8, "p": prob.p, "lambda": prob.lam,
+                                      "weights": False}, prob.A.T.ravel().tolist(),
+                                     (scale * prob.b).tolist()))
+            with pytest.raises(ProblemFormatError, match=r"\|\|b\|\|\^2 overflows"):
+                load_problem(path)
+        # tiny scales stay clean
+        for A, b in ((prob.A, 1e-300 * prob.b), (1e-160 * prob.A, prob.b)):
+            small = Problem(A=A, b=b, lam=prob.lam, p=prob.p)
+            assert run_pga(small, SolverConfig(v=default_stepsize(small))).converged
+
+
 @pytest.fixture(scope="module")
 def wide_instance(tmp_path_factory):
-    # A is 15.3 MiB and its file 20.35 MiB
-    path = tmp_path_factory.mktemp("wide") / "p.json"
+    # A is 15.3 MiB, its binary file 15.3 MiB and its base64 JSON file 20.35 MiB
     prob, _ = generate_instance(seed=1, m=100, n=20_000, s=10)
-    return prob, path
+    return prob, tmp_path_factory.mktemp("wide")
 
 
 def _traced_peak(fn, *args):
@@ -321,15 +344,28 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_save_problem_writes_in_blocks(wide_instance):
-    prob, path = wide_instance
-    peak, _ = _traced_peak(save_problem, path, prob)
+def test_save_problem_copies_no_array(wide_instance):
+    prob, tmp = wide_instance
+    peak, _ = _traced_peak(save_problem, tmp / "p.lpreg", prob)
     assert peak < 2**20
 
 
+def test_load_problem_reads_the_arrays_without_text(wide_instance):
+    # the array read from the file and Problem's own copy of it
+    prob, tmp = wide_instance
+    save_problem(tmp / "p.lpreg", prob)
+    peak, loaded = _traced_peak(load_problem, tmp / "p.lpreg")
+    assert loaded.A.tobytes() == prob.A.tobytes()
+    assert peak <= 2 * prob.A.nbytes + 2**20
+
+
 def test_load_problem_holds_the_text_and_one_payload(wide_instance):
-    prob, path = wide_instance
-    save_problem(path, prob)
+    prob, tmp = wide_instance
+    path = tmp / "p.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"m": prob.m, "n": prob.n, "p": prob.p, "lambda": prob.lam,
+                   "A": base64.b64encode(np.ascontiguousarray(prob.A, "<f8")).decode(),
+                   "b": base64.b64encode(prob.b.astype("<f8")).decode()}, fh)
     payload = 4 * math.ceil(prob.A.nbytes / 3)
     peak, loaded = _traced_peak(load_problem, path)
     assert loaded.A.tobytes() == prob.A.tobytes()
@@ -368,16 +404,23 @@ def test_run_pga_makes_no_copy_of_a(wide_instance):
 
 
 def test_problem_file_list_form_loads_as_the_written_form(tmp_path):
+    # the two JSON forms of earlier files, written here by json and struct,
+    # load to the bits of the binary file save_problem writes
     prob, _ = generate_instance(seed=3, m=4, n=6, s=2, noise=0.05, lam=0.3, p=0.6)
     prob = Problem(A=prob.A, b=prob.b, lam=0.3, p=0.6, weights=np.linspace(0.5, 2.0, 6))
-    listed = tmp_path / "listed.json"
-    listed.write_text(json.dumps({"m": 4, "n": 6, "p": 0.6, "lambda": 0.3,
-                                  "A": prob.A.tolist(), "b": prob.b.tolist(),
-                                  "weights": prob.weights.tolist()}))
-    save_problem(tmp_path / "written.json", prob)
-    for loaded in (load_problem(listed), load_problem(tmp_path / "written.json")):
-        for name in ("A", "b", "weights"):
-            assert getattr(loaded, name).tobytes() == getattr(prob, name).tobytes()
+    rows, b, w = prob.A.tolist(), prob.b.tolist(), prob.weights.tolist()
+    head = {"m": 4, "n": 6, "p": 0.6, "lambda": 0.3}
+    (tmp_path / "listed.json").write_text(json.dumps({**head, "A": rows, "b": b,
+                                                      "weights": w}))
+    (tmp_path / "base64.json").write_text(json.dumps(
+        {**head, "A": _b64([x for row in rows for x in row]), "b": _b64(b),
+         "weights": _b64(w)}))
+    save_problem(tmp_path / "written.lpreg", prob)
+    for name in ("listed.json", "base64.json", "written.lpreg"):
+        loaded = load_problem(tmp_path / name)
+        for key in ("A", "b", "weights"):
+            assert getattr(loaded, key).tobytes() == getattr(prob, key).tobytes()
+        assert (loaded.lam, loaded.p) == (prob.lam, prob.p)
 
 
 def test_problem_file_missing_field(tmp_path):
@@ -436,6 +479,67 @@ def test_problem_file_parse_error_line(tmp_path):
     path.write_text('{"m": 1,\n "n": oops}')
     with pytest.raises(ProblemFormatError, match="line 2"):
         load_problem(path)
+
+
+_HEAD = {"m": 1, "n": 1, "p": 0.5, "lambda": 1.0, "weights": False}
+_ONE = ([1.0], [1.0])  # A and b of a 1 x 1 problem
+
+
+def _head(**changes):
+    """_HEAD with the keys changed, and those changed to None dropped."""
+    return {k: v for k, v in {**_HEAD, **changes}.items() if v is not None}
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(_binary(_HEAD, *_ONE, magic=b"LPREGPB0"),
+                 "neither starts with b'LPREGPB1'", id="bad-magic"),
+    pytest.param(b"LPREGPB1\x05", "header length 5 runs past the 9-byte file",
+                 id="cut-header-length"),
+    pytest.param(b"LPREGPB1" + struct.pack("<Q", 2**63) + b"{}",
+                 "header length 9223372036854775808 runs past", id="header-past-end"),
+    pytest.param(_binary(b'{"m":1,', *_ONE), "bad header", id="header-not-json"),
+    pytest.param(_binary(b"[1]", *_ONE), "top-level value must be an object",
+                 id="header-not-object"),
+    pytest.param(_binary(_head(m=None), *_ONE), "missing required field 'm'", id="no-m"),
+    pytest.param(_binary(_head(n=None), *_ONE), "missing required field 'n'", id="no-n"),
+    pytest.param(_binary(_head(weights=None), *_ONE), "missing required field 'weights'",
+                 id="no-weights-flag"),
+    pytest.param(_binary(_head(m=1.0), *_ONE), "field 'm': expected an integer, got 1.0",
+                 id="float-m"),
+    pytest.param(_binary(_head(n="1"), *_ONE), "field 'n': expected an integer, got '1'",
+                 id="string-n"),
+    pytest.param(_binary(_head(weights=0), *_ONE), "field 'weights': expected true or false",
+                 id="integer-weights-flag"),
+    pytest.param(_binary(_head(m=0), [], [1.0]), r"header shape \(0, 1\)", id="zero-m"),
+    pytest.param(_binary(_HEAD, [1.0]), "needs 16 bytes of arrays; the file holds 8",
+                 id="truncated"),
+    pytest.param(_binary(_HEAD, *_ONE, [1.0]), "needs 16 bytes of arrays; the file holds 24",
+                 id="bytes-past-the-end"),
+    pytest.param(_binary(_head(weights=True), *_ONE), "needs 24 bytes of arrays",
+                 id="weights-missing"),
+    pytest.param(_binary(_head(m=10**9, n=10**9), *_ONE),
+                 r"header shape \(1000000000, 1000000000\)", id="huge-shape"),
+    pytest.param(_binary(_head(**{"lambda": -1.0}), *_ONE),
+                 "lambda must be positive", id="negative-lambda"),
+    pytest.param(_binary(_HEAD, [math.nan], [1.0]), "A must be finite", id="nan-in-A"),
+    pytest.param(_binary(_HEAD, [1.0], [-math.inf]), "b must be finite", id="inf-in-b"),
+    pytest.param(_binary(_head(weights=True), *_ONE, [math.inf]), "weights must be finite",
+                 id="inf-in-weights"),
+    pytest.param(_binary(_HEAD, [1.0], [1e160]), r"\|\|b\|\|\^2 overflows",
+                 id="overflowing-b"),
+])
+def test_binary_problem_file_malformed(tmp_path, data, message):
+    path = tmp_path / "bad.lpreg"
+    path.write_bytes(data)
+    # each case fails before it allocates an array of the header's shape
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProblemFormatError, match=message):
+            load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_trace_roundtrip(tmp_path, small_instance):
