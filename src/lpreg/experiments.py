@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, optimality, problem as prob_mod, prox, solvers
+from .errors import ValidationError
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
 
@@ -372,5 +373,5 @@ EXPERIMENTS = {
 
 def run_experiment(name: str) -> ExperimentResult:
     if name not in EXPERIMENTS:
-        raise KeyError(name)
+        raise ValidationError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
     return EXPERIMENTS[name]()

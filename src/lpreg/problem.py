@@ -13,7 +13,6 @@ inequalities and relies on this.
 
 from __future__ import annotations
 
-import base64
 import csv
 import json
 import math
@@ -281,12 +280,11 @@ def generate_instance(
 # layout), of b and of the weights, and nothing after them.  A load checks
 # the file's size against the header's shape before it allocates an array.
 #
-# Any other file is read as UTF-8 JSON, as earlier versions wrote and as
-# hand-written files are: keys "m", "n", "p", "lambda" (JSON numbers),
-# optional "weights" (length n), "A" (m x n) and "b" (length m), each array
-# a JSON list of numbers (A as m rows of n) or the base64 string of its
-# little-endian float64 bytes in row-major order.  A load drops each payload
-# string once it is decoded, so it holds at most the text and one payload.
+# Any other file is read as UTF-8 JSON, the form people write by hand:
+# keys "m", "n", "p", "lambda" (JSON numbers), optional "weights" (length
+# n), "A" (m x n) and "b" (length m), each array a JSON list of numbers (A
+# as m rows of n).  A string in place of an array is an error: the
+# encoded-string form that earlier versions wrote is no longer read.
 #
 # Trace file: CSV with header k,F,step_norm,residual,support_size and an
 # eps column named after the trace's eps kind: eps_k for an exact run,
@@ -315,17 +313,12 @@ def _number(value) -> float:
     return float(value)
 
 
-def _float_array(value, shape) -> np.ndarray:
-    """A field's array of the given ``shape``: a JSON list of numbers, or
-    the ASCII bytes of the base64 string of its float64 bytes; strings in a
-    list, booleans, invalid base64 and a byte count other than the shape's
-    are errors."""
-    if isinstance(value, bytes):
-        raw, size = base64.b64decode(value, validate=True), 8 * math.prod(shape)
-        if len(raw) != size:
-            raise ValueError(f"payload holds {len(raw)} bytes, header shape "
-                             f"{shape} needs {size}")
-        return np.frombuffer(raw, dtype="<f8").reshape(shape)
+def _float_array(value) -> np.ndarray:
+    """A JSON list of numbers as a float64 array; a string, strings in a
+    list and booleans are errors."""
+    if isinstance(value, str):
+        raise TypeError("expected a list of numbers, got a string (the "
+                        "encoded-string form of earlier versions is no longer read)")
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"expected numbers, got {arr.ravel()[:1].tolist()[0]!r}")
@@ -333,24 +326,12 @@ def _float_array(value, shape) -> np.ndarray:
 
 
 def _field(data, key, convert, shape=None):
-    """``convert(data[key])``, or for an array of the header's ``shape``
-    ``convert(value, shape)`` on the value popped from the dict, whose
-    shape it then checks.  A base64 string is encoded to ASCII first, here,
-    where the only reference to it is held, so it is freed before it is
-    decoded on any Python version.
+    """``convert(data[key])``, whose shape must be ``shape`` when given.
 
     A value that fails either is a ProblemFormatError naming the field.
     """
     try:
-        if shape is None:
-            value = convert(data[key])
-        else:
-            value = data.pop(key)
-            if isinstance(value, str):
-                if not value.isascii():
-                    raise ValueError("string argument should contain only ASCII characters")
-                value = value.encode("ascii")
-            value = convert(value, shape)
+        value = convert(data[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"field {key!r}: {exc}") from exc
     if shape is not None and value.shape != shape:
@@ -411,7 +392,7 @@ def _load_json(fh) -> dict:
 
 def load_problem(path) -> Problem:
     """Read a problem instance from its file: the binary layout, or JSON
-    with its arrays as lists or base64 strings (see File formats)."""
+    with its arrays as lists (see File formats)."""
     with open(path, "rb") as fh:
         fields = _load_binary(fh) if fh.read(len(_MAGIC)) == _MAGIC else _load_json(fh)
     try:

@@ -42,7 +42,7 @@ inexactness controls can be checked a posteriori.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,12 +75,18 @@ BUDGET_SHARE = 0.9
 
 @dataclass(frozen=True)
 class ProxQuery:
-    """Scalar prox inputs: point z, stepsize v, weight lam, exponent p."""
+    """Scalar prox inputs: point z, stepsize v, weight lam, exponent p.
+
+    The kernel's constants for (v, lam, p) (``_Prepared``, kept on the
+    query) and the value z^2/(2v) of t = 0 must be finite: a query where
+    one overflows is refused, not solved through inf.
+    """
 
     z: float
     v: float
     lam: float
     p: float
+    _k: _Prepared = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.z):
@@ -91,6 +97,15 @@ class ProxQuery:
             raise ValidationError(f"lambda must be positive, got {self.lam}")
         if not (0.0 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0, 1), got {self.p}")
+        with np.errstate(all="ignore"):
+            k = _Prepared(self.v, np.array([self.lam]), self.p)
+        for name, value in (("c = v*lam*p", k.c), ("t_lb", k.t_lb), ("the cut", k.cut),
+                            *zip(("the p = 1/2 threshold", "the p = 1/2 numerator"),
+                                 k.half or ()),
+                            ("z^2/(2v)", [self.z * self.z / (2.0 * self.v)])):
+            if not math.isfinite(value[0]):
+                raise ValidationError(f"{name} is not finite for {self}")
+        object.__setattr__(self, "_k", k)
 
 
 @dataclass(frozen=True)
@@ -276,8 +291,7 @@ def _one_coordinate(q: ProxQuery, half: bool = False) -> ProxResult:
 
     With ``half`` the root is the closed form of ``_half_root`` (p = 1/2).
     """
-    a = np.array([abs(q.z)])
-    k = _Prepared(q.v, np.array([q.lam]), q.p)
+    a, k = np.array([abs(q.z)]), q._k
     root = _half_root(a, *k.half) if half else None
     idx, t, tie, value = _prox_abs(a, k, root)
     value = float(value[0])

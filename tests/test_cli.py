@@ -185,20 +185,16 @@ def test_solve_reruns_byte_identical(tmp_path):
 
 
 def test_outputs_match_across_problem_file_forms(tmp_path):
-    # a binary file and the two JSON forms of earlier files, written here by
-    # json and struct, give byte-identical traces and certify reports
+    # a binary file and a list-form JSON file, written here by json, give
+    # byte-identical traces and certify reports
     run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--seed", "2",
             "--out", "p.lpreg")
     prob = load_problem(tmp_path / "p.lpreg")
-    rows = prob.A.tolist()
-    head = {"m": prob.m, "n": prob.n, "p": prob.p, "lambda": prob.lam}
     (tmp_path / "listed.json").write_text(json.dumps(
-        {**head, "A": rows, "b": prob.b.tolist()}))
-    b64 = [base64.b64encode(struct.pack(f"<{len(v)}d", *v)).decode()
-           for v in ([x for row in rows for x in row], prob.b.tolist())]
-    (tmp_path / "base64.json").write_text(json.dumps({**head, "A": b64[0], "b": b64[1]}))
+        {"m": prob.m, "n": prob.n, "p": prob.p, "lambda": prob.lam,
+         "A": prob.A.tolist(), "b": prob.b.tolist()}))
     outputs = []
-    for name in ("p.lpreg", "listed.json", "base64.json"):
+    for name in ("p.lpreg", "listed.json"):
         path = str(tmp_path / name)
         assert run_cli("--out-dir", str(tmp_path), "--quiet", "solve",
                        "--problem", path, "--trace-out", f"{name}.csv") == 0
@@ -206,7 +202,22 @@ def test_outputs_match_across_problem_file_forms(tmp_path):
                        str(tmp_path / "p.lpreg.csv"), "--problem", path) == 0
         outputs.append(((tmp_path / f"{name}.csv").read_bytes(),
                         (tmp_path / "certify-report.json").read_bytes()))
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
+
+
+def test_solve_refuses_a_base64_problem_file(tmp_path, capsys):
+    # earlier versions wrote each array as the base64 string of its float64
+    # bytes; such a file exits 1 with a short message naming the field
+    prob, _ = generate_instance(seed=2, m=20, n=50, s=5)
+    b64 = [base64.b64encode(struct.pack(f"<{a.size}d", *a.ravel().tolist())).decode()
+           for a in (prob.A, prob.b)]
+    path = tmp_path / "base64.json"
+    path.write_text(json.dumps({"m": prob.m, "n": prob.n, "p": prob.p,
+                                "lambda": prob.lam, "A": b64[0], "b": b64[1]}))
+    assert run_cli("--out-dir", str(tmp_path), "--quiet", "solve",
+                   "--problem", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "field 'A'" in err and len(err) < 200
 
 
 def test_loaded_trace_certifies(tmp_path):

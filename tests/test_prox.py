@@ -59,6 +59,36 @@ def test_prox_query_validation():
         ProxQuery(z=math.nan, v=1.0, lam=1.0, p=0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z, v, lam, p, name", [
+    (0.0, 1e300, 1e300, 0.3, r"c = v\*lam\*p"),
+    (1.0, 5e-324, 1e-300, 0.3, "the cut"),  # t_lb underflows to 0
+    (1.0, 1e8, 1e300, 0.5, "the p = 1/2 numerator"),
+    (1e300, 1.0, 1.0, 0.3, r"z\^2/\(2v\)"),
+    (1e200, 1e-200, 1.0, 0.3, r"z\^2/\(2v\)"),
+])
+def test_prox_query_refuses_what_overflows(z, v, lam, p, name):
+    with pytest.raises(ValidationError, match=f"^{name} is not finite for ProxQuery"):
+        ProxQuery(z=z, v=v, lam=lam, p=p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_prox_scalar_fails_closed_on_the_edge_grid():
+    # every query either solves cleanly or is refused by ProxQuery
+    refused = 0
+    for p in (1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
+        for v in (1e-8, 1.0, 1e8):
+            for lam in (1e-300, 1e-12, 1.0, 1e12, 1e300):
+                for z in (0.0, 5e-324, 1e-8, 1.0, 1e8, 1e150, 1e300, -1e300):
+                    try:
+                        q = ProxQuery(z=z, v=v, lam=lam, p=p)
+                    except ValidationError:
+                        refused += 1
+                        continue
+                    assert math.isfinite(prox_scalar(q).value)
+    assert refused == 216
+
+
 def test_half_thresholding_agrees_with_general_path():
     rng = np.random.default_rng(1)
     for _ in range(500):
