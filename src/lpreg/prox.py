@@ -25,13 +25,15 @@ One array kernel solves for all coordinates of a vector at once.
 coordinate, and ``prox_scalar_half`` with the closed-form root for p = 1/2.
 What depends only on (v, lambda, p) is prepared once (``_Prepared``; the
 solvers keep it while the stepsize stays the same and restrict it to their
-working set of coordinates), and each call solves only the candidates, the
-coordinates that can have a nonzero minimizer.
+working set of coordinates) and refuses constants that overflow.  Each
+call solves only the candidates, the coordinates that can have a nonzero
+minimizer, with their constants gathered once per candidate set.
 The safeguarded Newton solve starts at t = z, except at p = 1/2, where it
 starts at the closed-form root (half thresholding, Xu et al., IEEE TNNLS
 2012) clamped into the bracket; bisection, then the IEEE floor, then
 ``ProxConvergenceError`` are its one fallback, and the returned root is
-the one that passes the kernel's own residual check.
+the one that passes the kernel's own residual check, at once when every
+start passes it, as at p = 1/2 it usually does.
 
 Inexactness is simulated with certificates: ``prox_inexact_value``
 perturbs the exact vector prox returned by ``prox_vector`` and recomputes
@@ -97,14 +99,9 @@ class ProxQuery:
             raise ValidationError(f"lambda must be positive, got {self.lam}")
         if not (0.0 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0, 1), got {self.p}")
-        with np.errstate(all="ignore"):
-            k = _Prepared(self.v, np.array([self.lam]), self.p)
-        for name, value in (("c = v*lam*p", k.c), ("t_lb", k.t_lb), ("the cut", k.cut),
-                            *zip(("the p = 1/2 threshold", "the p = 1/2 numerator"),
-                                 k.half or ()),
-                            ("z^2/(2v)", [self.z * self.z / (2.0 * self.v)])):
-            if not math.isfinite(value[0]):
-                raise ValidationError(f"{name} is not finite for {self}")
+        k = _Prepared(self.v, np.array([self.lam]), self.p, owner=self)
+        if not math.isfinite(self.z * self.z / (2.0 * self.v)):
+            raise ValidationError(f"z^2/(2v) is not finite for {self}")
         object.__setattr__(self, "_k", k)
 
 
@@ -133,27 +130,50 @@ class _Prepared:
     """The kernel's constants for one (v, lam, p), computed once.
 
     c = v*lam*p, the bracket's lower end t_lb = lower_bound(v, lam, p) and
-    the candidate cut t_lb + c*t_lb^(p-1), which is r(t_lb) + a.  A
-    coordinate can have a nonzero minimizer only where t_lb < a and
-    cut <= a; that equals the test ~(r(t_lb) > 0) bit for bit, since
-    fl(X - a) > 0 iff X > a for finite doubles.  At p = 1/2 it also holds
-    ``_half_root``'s existence threshold and negated numerator, from c/p,
-    which is v*lam exactly there.  ``restrict`` gives the constants of a
-    subset ``cols`` of the coordinates, which it records (None: all).
+    the candidate cut t_lb + c*t_lb^(p-1) = t_lb (2 - p) / (1 - p), which
+    is r(t_lb) + a.  A coordinate can have a nonzero minimizer only where
+    t_lb < a and r(t_lb) <= 0, and both hold iff cut <= a, bit for bit:
+    fl(X - a) > 0 iff X > a for finite doubles, and the computed cut lies
+    above t_lb (t_lb is subnormal only at p > 0.94, where cut/t_lb > 17).
+    At p = 1/2 it also holds ``_half_root``'s existence threshold and
+    negated numerator, from c/p, which is v*lam exactly there.  A constant
+    that is not finite (overflow, or a cut over an underflowed t_lb)
+    raises ValidationError naming it, for ``owner`` or the first weight.
+    ``at(idx)`` gathers the constants of the candidates idx and keeps them,
+    keyed by idx, for the next call.  ``restrict`` gives the constants of
+    a subset ``cols`` of the coordinates, which it records (None: all).
     """
 
-    __slots__ = ("v", "lam", "p", "c", "t_lb", "cut", "half", "cols")
+    __slots__ = ("v", "lam", "p", "c", "t_lb", "cut", "half", "cols", "_kept")
 
-    def __init__(self, v: float, lam: np.ndarray, p: float):
-        self.v, self.lam, self.p, self.cols = v, lam, p, None
-        self.c = v * lam * p
-        self.t_lb = lower_bound(v, lam, p)
-        self.cut = self.t_lb + self.c * self.t_lb ** (p - 1.0)
-        self.half = None
-        if p == 0.5:
-            vlam = self.c / p
-            self.half = (3.0 * (vlam / 4.0) ** (2.0 / 3.0),
-                         -(3.0 * math.sqrt(3.0) * vlam))
+    def __init__(self, v: float, lam: np.ndarray, p: float, owner=None):
+        self.v, self.lam, self.p, self.cols, self._kept = v, lam, p, None, None
+        with np.errstate(all="ignore"):
+            self.c = v * lam * p
+            self.t_lb = lower_bound(v, lam, p)
+            self.cut = self.t_lb + self.c * self.t_lb ** (p - 1.0)
+            self.half = None
+            if p == 0.5:
+                vlam = self.c / p
+                self.half = (3.0 * (vlam / 4.0) ** (2.0 / 3.0),
+                             -(3.0 * math.sqrt(3.0) * vlam))
+        for name, value in (("c = v*lam*p", self.c), ("t_lb", self.t_lb),
+                            ("the cut", self.cut),
+                            *zip(("the p = 1/2 threshold", "the p = 1/2 numerator"),
+                                 self.half or ())):
+            bad = (~np.isfinite(value)).nonzero()[0]
+            if bad.size:
+                where = owner or f"v={v!r}, lambda={float(lam[bad[0]])!r}, p={p!r}"
+                raise ValidationError(f"{name} is not finite for {where}")
+
+    def at(self, idx: np.ndarray) -> tuple:
+        """(lam, c, t_lb) on the candidates idx, and the p = 1/2 pair there."""
+        key = idx.tobytes()
+        kept = self._kept  # one read: the key and its constants together
+        if kept is None or kept[0] != key:
+            kept = self._kept = (key, tuple(
+                x[idx] for x in (self.lam, self.c, self.t_lb, *(self.half or ()))))
+        return kept[1]
 
     def restrict(self, cols: np.ndarray) -> "_Prepared":
         """The same constants on the sorted coordinates ``cols`` only; when
@@ -164,7 +184,7 @@ class _Prepared:
             return a if every else a[cols]
 
         k = object.__new__(_Prepared)
-        k.v, k.p, k.cols = self.v, self.p, cols
+        k.v, k.p, k.cols, k._kept = self.v, self.p, cols, None
         k.lam, k.c, k.t_lb, k.cut = map(take, (self.lam, self.c, self.t_lb, self.cut))
         k.half = None if self.half is None else tuple(map(take, self.half))
         return k
@@ -180,36 +200,37 @@ def _half_root(a: np.ndarray, threshold: np.ndarray, neg_num: np.ndarray):
     -3*sqrt(3)*c; both come from ``_Prepared``.
     """
     has = a >= threshold
-    a = np.where(has, a, 1.0)
+    every = np.count_nonzero(has) == has.size
+    if not every:
+        a = np.where(has, a, 1.0)
     arg = np.maximum(-1.0, neg_num / (4.0 * a ** 1.5))
     u = 2.0 * np.sqrt(a / 3.0) * np.cos(np.arccos(arg) / 3.0)
-    return np.where(has, u * u, 0.0)
+    return u * u if every else np.where(has, u * u, 0.0)
 
 
-def _stationary_root(a: np.ndarray, idx: np.ndarray, k: _Prepared):
-    """Root of r(t) = t + c*t^(p-1) - a in [t_lb, a] for the candidates idx.
+def _stationary_root(a: np.ndarray, k: _Prepared, c, lo, half):
+    """Root of r(t) = t + c*t^(p-1) - a in [t_lb = lo, a] for candidates
+    with constants c, lo and the p = 1/2 pair ``half`` (empty at other p).
 
     r is convex and increasing on [t_lb, a], which brackets its one root
     there.  Newton starts at a, or at p = 1/2 at the closed-form root
     clamped into the bracket, where it usually passes the residual check
-    at once.  Each step keeps the bracket around the root, so convergence
-    rests on the bracket, not on a monotone Newton sequence: a step that
-    leaves it is replaced by bisection, which takes over after
-    NEWTON_MAX_ITERS.  A coordinate leaves the active set once converged,
-    so its result does not depend on the others.
+    at once, and then is returned with no loop set-up.  Each step keeps the
+    bracket around the root, so convergence rests on the bracket, not on a
+    monotone Newton sequence: a step that leaves it is replaced by
+    bisection, which takes over after NEWTON_MAX_ITERS.  A coordinate
+    leaves the active set once converged, so its result does not depend
+    on the others.
     """
     p = k.p
-    c, lo = k.c[idx], k.t_lb[idx]
     hi = t = a
-    if k.half is not None:
-        t = np.minimum(np.maximum(
-            _half_root(a, k.half[0][idx], k.half[1][idx]), lo), hi)
+    if half:
+        t = np.minimum(np.maximum(_half_root(a, *half), lo), hi)
 
     def r(t, a, c):
         return t + c * t ** (p - 1.0) - a
 
-    root = np.empty_like(a)
-    act = np.arange(a.size)  # positions of the active candidates
+    root = act = None  # act: positions of the active candidates
     rt = r(t, a, c)
     tol = GPRIME_TOL * (k.v + 1.0)
     for it in range(NEWTON_MAX_ITERS + BISECT_MAX_ITERS):
@@ -217,6 +238,8 @@ def _stationary_root(a: np.ndarray, idx: np.ndarray, k: _Prepared):
         n_done = np.count_nonzero(done)
         if n_done == done.size:
             break
+        if act is None:
+            root, act = np.empty_like(a), np.arange(a.size)
         if n_done:
             root[act[done]] = t[done]
             act, a, c, lo, hi, t, rt = (
@@ -237,7 +260,7 @@ def _stationary_root(a: np.ndarray, idx: np.ndarray, k: _Prepared):
                 break
             t = np.where(stuck, t, mid)
         rt = r(t, a, c)
-    if np.count_nonzero(done) < done.size:
+    if n_done < done.size:
         # IEEE floor: the residual cannot shrink below the rounding
         # noise of its own evaluation; accept when the bracket is a
         # single ulp wide.
@@ -249,6 +272,8 @@ def _stationary_root(a: np.ndarray, idx: np.ndarray, k: _Prepared):
                 f"stationarity solve stalled at t={float(t[j])!r} "
                 f"with residual {float(rt[j])!r}"
             )
+    if act is None:  # every candidate passed at its start
+        return t
     root[act] = t
     return root
 
@@ -258,32 +283,29 @@ def _prox_abs(a: np.ndarray, k: _Prepared, root=None):
 
     Only the candidates idx, the coordinates that can have a nonzero
     minimizer, are solved and compared with t = 0; every other coordinate
-    has t = 0, value a^2 / (2v) and no tie.  Returns (idx, t, tie, value):
-    on the candidates, t is the magnitude of the nonzero minimizer (0 where
-    0 is the only one) and tie marks where 0 and t give the same value;
-    value is the minimum of g on every coordinate.  ``root`` (0 where none)
-    replaces the solve.
+    has t = 0, value a^2 / (2v) and no tie.  Returns (idx, root, tie, win,
+    value): on the candidates, root is the magnitude of the stationary
+    point, tie marks where it and 0 give the same value and win where it
+    gives the smaller one; value is the minimum of g on every coordinate.
+    ``root`` (0 where none) replaces the solve.
     """
     if root is None:
-        idx = ((k.t_lb < a) & (k.cut <= a)).nonzero()[0]
+        idx = (k.cut <= a).nonzero()[0]
+        lam, c, lo, *half = k.at(idx)
         a_ = a[idx]
-        root_ = _stationary_root(a_, idx, k)
+        root_ = _stationary_root(a_, k, c, lo, half)
     else:
         idx = (root > 0.0).nonzero()[0]
+        lam = k.at(idx)[0]
         a_, root_ = a[idx], root[idx]
     # a candidate's root is at least t_lb > 0, and g0 >= 0 is its own |g0|
     value = a * a / (2.0 * k.v)
     g0 = value[idx]
-    gt = k.lam[idx] * root_ ** k.p + (root_ - a_) ** 2 / (2.0 * k.v)
+    gt = lam * root_ ** k.p + (root_ - a_) ** 2 / (2.0 * k.v)
     tie = np.abs(g0 - gt) <= TIE_TOL * (1.0 + g0)
     win = gt < g0
     value[idx] = np.where(win, gt, g0)
-    return idx, np.where(tie | win, root_, 0.0), tie, value
-
-
-def _selection(t: np.ndarray, tie: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The signed minimizer that the vector prox selects: 0 at a tie."""
-    return np.where(tie | (t == 0.0), 0.0, np.copysign(t, z))
+    return idx, root_, tie, win, value
 
 
 def _one_coordinate(q: ProxQuery, half: bool = False) -> ProxResult:
@@ -293,15 +315,12 @@ def _one_coordinate(q: ProxQuery, half: bool = False) -> ProxResult:
     """
     a, k = np.array([abs(q.z)]), q._k
     root = _half_root(a, *k.half) if half else None
-    idx, t, tie, value = _prox_abs(a, k, root)
+    idx, root, tie, win, value = _prox_abs(a, k, root)
     value = float(value[0])
-    if idx.size == 0:
-        return ProxResult((0.0,), value, tie=False)
-    t = float(t[0])
-    if tie[0]:
-        return ProxResult((0.0, math.copysign(t, q.z)), value, tie=True)
-    if t > 0.0:
-        return ProxResult((math.copysign(t, q.z),), value, tie=False)
+    if idx.size and tie[0]:
+        return ProxResult((0.0, math.copysign(float(root[0]), q.z)), value, tie=True)
+    if idx.size and win[0]:
+        return ProxResult((math.copysign(float(root[0]), q.z),), value, tie=False)
     return ProxResult((0.0,), value, tie=False)
 
 
@@ -325,25 +344,33 @@ def prox_vector(z, v: float, prob: Problem) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the selected minimizers (0 at ties) and the minimum values of
     the scalar problems, from one call of the array kernel.  Each
-    coordinate's result is bit-identical to ``prox_scalar`` on it alone.
+    coordinate's result is bit-identical to ``prox_scalar`` on it alone,
+    and what ``ProxQuery`` refuses on a coordinate is refused here too.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (prob.n,):
         raise ValidationError(f"z has shape {z.shape}, expected ({prob.n},)")
     if not (v > 0 and math.isfinite(v)):
         raise ValidationError(f"v must be positive, got {v}")
-    y, value, _ = _prox_select(z, _Prepared(v, prob.lambda_vec, prob.p))
+    k = _Prepared(v, prob.lambda_vec, prob.p)
+    with np.errstate(over="ignore"):
+        big = (np.isfinite(z) & ~np.isfinite(z * z / (2.0 * v))).nonzero()[0]
+    if big.size:
+        raise ValidationError(f"z^2/(2v) is not finite for v={v!r}, "
+                              f"z={float(z[big[0]])!r} (coordinate {big[0]})")
+    y, value, _ = _prox_select(z, k)
     return y, value
 
 
 def _prox_select(z: np.ndarray, k: _Prepared):
     """``prox_vector`` of a checked-shape z with constants prepared for its
-    v, and the candidates, the coordinates that can have a nonzero output."""
+    v, and the candidates, the coordinates that can have a nonzero output:
+    the signed root where it wins without a tie, 0 elsewhere."""
     if np.count_nonzero(np.isfinite(z)) < z.size:
         raise ValidationError("z must be finite")
-    idx, t, tie, value = _prox_abs(np.abs(z), k)
+    idx, root, tie, win, value = _prox_abs(np.abs(z), k)
     y = np.zeros(z.size)
-    y[idx] = _selection(t, tie, z[idx])
+    y[idx] = np.where(win & ~tie, np.copysign(root, z[idx]), 0.0)
     return y, value, idx
 
 
@@ -379,10 +406,10 @@ def prox_inexact_value(z, v: float, prob: Problem, y_star, value, x,
     lam = (prob.lambda_vec if lam is None else lam)[i]
     g = lam * np.abs(y) ** prob.p + (y - z[i]) ** 2 / (2.0 * v)
     gap = np.maximum(g - value[i], 0.0)
-    fallback = ~(gap <= tau * (y - x[i]) ** 2)  # a NaN gap falls back too
-    y[fallback] = ys[fallback]
-    gap[fallback] = 0.0
-    out, gaps = y_star.copy(), np.zeros_like(y_star)
+    fit = gap <= tau * (y - x[i]) ** 2  # a NaN gap falls back too
+    if np.count_nonzero(fit) < fit.size:
+        y, gap = np.where(fit, y, ys), np.where(fit, gap, 0.0)
+    out, gaps = y_star.copy(), np.zeros(y_star.size)
     out[i] = y
     gaps[i] = gap
     return out, gaps, tau * (out - x) ** 2

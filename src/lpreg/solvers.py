@@ -30,7 +30,10 @@ perturbation per coordinate at every iteration:
 All three share one loop: the exact prox is computed once per iteration,
 as ``prox_vector`` computes it, and the inexact variants perturb it on the
 coordinates that move.  The loop prepares the prox kernel's constants once
-per stepsize, so a constant-stepsize run prepares them once.
+per stepsize, so a constant-stepsize run prepares (and checks) them once.
+Small iterates cost numpy calls more than flops, so nothing is gathered
+again while it stays the same: the kernel keeps its last candidate set's
+constants, and the loop the support's columns and weights.
 
 Each iterate runs on a working set J of columns that contains supp(x).  A
 nonzero prox output needs a candidate, a coordinate with |z_j| >= cut_j
@@ -78,6 +81,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -166,10 +170,12 @@ class SolverConfig:
             object.__setattr__(self, "v", tuple(float(x) for x in self.v))
         if len(self.v) == 0 or any(not (x > 0) for x in self.v):
             raise StepsizeError("stepsizes must be positive")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
-        if not (self.stop_tol >= 0):
-            raise ValidationError("stop_tol must be nonnegative")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
+                or self.max_iters < 1):
+            raise ValidationError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
+        if not (0.0 <= self.stop_tol < math.inf):  # NaN fails too
+            raise ValidationError(
+                f"stop_tol must be finite and >= 0, got {self.stop_tol!r}")
 
     @property
     def v_lo(self) -> float:
@@ -289,12 +295,13 @@ def _violations(lhs, rhs, slack: float, relative: bool = False):
     return np.flatnonzero(~ok.all(axis=rows)).tolist(), float(excess[k]), k
 
 
-def _evaluate(prob: Problem, r, grad, xs, lam):
+def _evaluate(prob: Problem, r, grad, xs, lam, lam_p):
     """F(x) and the residual on supp(x), from r = A x - b, the smooth
-    gradient ``grad``, x and the weights ``lam`` on the support."""
+    gradient ``grad``, x, the weights ``lam`` and ``lam_p`` = lam * p on
+    the support."""
     ax = np.abs(xs)
     # copysign(t, x) is t * sign(x) exactly for t >= 0, in one call
-    w = grad + np.copysign(lam * prob.p * ax ** (prob.p - 1.0), xs)
+    w = grad + np.copysign(lam_p * ax ** (prob.p - 1.0), xs)
     return _objective_at(prob, r, lam, ax), _norm(w)
 
 
@@ -314,7 +321,8 @@ def residual_on_support(prob: Problem, x) -> tuple[float, tuple[int, ...]]:
     x = _check_x(prob, x)
     idx, r = _residual(prob, x)
     grad = _gradient_at(_columns(prob.A, idx), r)
-    _, resid = _evaluate(prob, r, grad, x[idx], prob.lambda_vec[idx])
+    lam = prob.lambda_vec[idx]
+    _, resid = _evaluate(prob, r, grad, x[idx], lam, lam * prob.p)
     return resid, tuple(idx.tolist())
 
 
@@ -387,14 +395,16 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
     gamma = (prob.m + 4) * EPS
     J = x.nonzero()[0]  # until the first full product
     x_j, cols_j = x[J], cols[J]
-    prepared = kernel = r_ref = pos_key = A_s = supp = None
+    prepared = kernel = r_ref = pos_key = A_s = supp = lam_s = lam_p = support = None
     rho, n_cand = math.inf, n  # n_cand: candidates of the last prox
     converged = False
     for k in range(config.max_iters + 1):
         pos = x_j.nonzero()[0]  # supp(x) as positions in J
-        if pos.tobytes() != pos_key:  # supp: one tuple per support change
+        if pos.tobytes() != pos_key:  # gathers and one tuple per support change
             pos_key, A_s = pos.tobytes(), np.ascontiguousarray(cols_j[pos].T)
-            supp = tuple(J[pos].tolist())
+            support = J[pos]
+            supp, lam_s = tuple(support.tolist()), prob.lambda_vec[support]
+            lam_p = lam_s * prob.p
         xs = x_j[pos]
         r = np.vecdot(A_s, xs) - prob.b
         v = config.stepsize(k)
@@ -407,7 +417,6 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
             if new_v:
                 prepared = _Prepared(v, prob.lambda_vec, prob.p)
             grad = _gradient_at(cols, r)
-            support = J[pos]
             J, rho = _working_set(
                 _radii(prepared, grad, col_norm, _norm(r), gamma), support)
             pos = np.searchsorted(J, support)  # J holds the support
@@ -418,11 +427,11 @@ def _iterate(prob, config, x0, algo, eps_kind, perturb=None):
             else:
                 cols_j, grad = cols[J], grad[J]
             kernel, r_ref = prepared.restrict(J), r
-            pos_key = pos.tobytes()  # A_s and supp hold the same columns
+            pos_key = pos.tobytes()  # support, A_s, supp, lam_s hold the same columns
             trace.refreshes.append(k)
         else:
             grad = _gradient_at(cols_j, r)
-        f, resid = _evaluate(prob, r, grad[pos], xs, kernel.lam[pos])
+        f, resid = _evaluate(prob, r, grad[pos], xs, lam_s, lam_p)
         trace.f_values.append(f)
         trace.support_sizes.append(len(pos))
         trace.supports.append(supp)
@@ -501,7 +510,7 @@ def run_ipga_2p(prob: Problem, config: SolverConfig, x0=None) -> IterationTrace:
         x_new = y_star.copy()
         x_new[i] = y
         dist = np.abs(y - ys)
-        dists, bounds = np.zeros_like(x), np.zeros_like(x)
+        dists, bounds = np.zeros(x.size), np.zeros(x.size)
         dists[i] = dist
         bounds[i] = t_k * np.abs(y - x[i])
         return x_new, math.sqrt(math.fsum((dist * dist).tolist())), dists, bounds

@@ -64,6 +64,20 @@ def test_solve_max_iters_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tol", "inf", "stop_tol"), ("--tol", "nan", "stop_tol"),
+    ("--max-iters", "0", "max_iters"),
+])
+def test_solve_bad_stopping_rule_exits_1(tmp_path, capsys, flag, value, field):
+    out = str(tmp_path)
+    run_cli("--out-dir", out, "--quiet", "generate", "--out", "p.lpreg")
+    capsys.readouterr()
+    code = run_cli("--out-dir", out, "--quiet", "solve",
+                   "--problem", str(tmp_path / "p.lpreg"), flag, value)
+    assert code == 1
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 def test_certify_point_zero(tmp_path, capsys):
     out = str(tmp_path)
     run_cli("--out-dir", out, "--quiet", "generate", "--n", "4", "--m", "3",

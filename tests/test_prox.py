@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,15 @@ from lpreg import (
 )
 from lpreg.errors import ValidationError
 from lpreg.experiments import ARGMIN_TOL, MAGNITUDE_SLACK, VALUE_TOL
-from lpreg.prox import BUDGET_SHARE, GPRIME_TOL, TIE_TOL, _Prepared
+from lpreg.prox import (
+    BUDGET_SHARE,
+    GPRIME_TOL,
+    TIE_TOL,
+    _half_root,
+    _Prepared,
+    _prox_abs,
+    _prox_select,
+)
 
 from conftest import scalar_newton_oracle
 
@@ -72,21 +81,59 @@ def test_prox_query_refuses_what_overflows(z, v, lam, p, name):
         ProxQuery(z=z, v=v, lam=lam, p=p)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_prox_scalar_fails_closed_on_the_edge_grid():
-    # every query either solves cleanly or is refused by ProxQuery
-    refused = 0
+def _edge_grid():
+    """840 queries (z, v, lam, p) out to the ends of the float64 range."""
     for p in (1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999):
         for v in (1e-8, 1.0, 1e8):
             for lam in (1e-300, 1e-12, 1.0, 1e12, 1e300):
                 for z in (0.0, 5e-324, 1e-8, 1.0, 1e8, 1e150, 1e300, -1e300):
-                    try:
-                        q = ProxQuery(z=z, v=v, lam=lam, p=p)
-                    except ValidationError:
-                        refused += 1
-                        continue
-                    assert math.isfinite(prox_scalar(q).value)
+                    yield z, v, lam, p
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_prox_scalar_fails_closed_on_the_edge_grid():
+    # every query either solves cleanly or is refused by ProxQuery
+    refused = 0
+    for z, v, lam, p in _edge_grid():
+        try:
+            q = ProxQuery(z=z, v=v, lam=lam, p=p)
+        except ValidationError:
+            refused += 1
+            continue
+        assert math.isfinite(prox_scalar(q).value)
     assert refused == 216
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_prox_vector_fails_closed_on_the_edge_grid():
+    # prox_vector refuses, naming the same quantity, what ProxQuery
+    # refuses (among them v = 1e8 with lambda = 1e300 at p = 1/2, and
+    # z = 1e300 with v = 1e-8), and returns prox_scalar's bits on the rest
+    for z, v, lam, p in _edge_grid():
+        prob = Problem(A=np.ones((1, 1)), b=np.zeros(1), lam=lam, p=p)
+        try:
+            q = ProxQuery(z=z, v=v, lam=lam, p=p)
+        except ValidationError as exc:
+            name = str(exc).split(" is not finite for ")[0]
+            with pytest.raises(ValidationError, match=f"^{re.escape(name)} is not finite"):
+                prox_vector([z], v, prob)
+            continue
+        y, value = prox_vector([z], v, prob)
+        res = prox_scalar(q)
+        assert (y.view(np.uint64)[0], value[0]) == (
+            np.float64(res.selection).view(np.uint64), res.value)
+
+
+def test_the_cut_lies_above_t_lb():
+    # the kernel's candidate test reads cut <= |z| alone, which implies
+    # t_lb < |z| only while cut > t_lb; v*lam*p*(1-p) from the least
+    # subnormal up, where the rounding of t_lb is coarsest
+    base = np.concatenate([np.geomspace(5e-324, 1e-290, 2000),
+                           np.geomspace(1e-290, 1e290, 200)])
+    for p in np.concatenate([np.linspace(1e-6, 1 - 1e-6, 199),
+                             10.0 ** -np.arange(2, 16), 1 - 10.0 ** -np.arange(2, 16)]):
+        k = _Prepared(1.0, base / (p * (1.0 - p)), float(p))
+        assert np.all(k.cut > k.t_lb)
 
 
 def test_half_thresholding_agrees_with_general_path():
@@ -243,6 +290,59 @@ def test_prox_vector_matches_oracle_and_scalar(p):
         assert abs(sel[i] - best) <= ARGMIN_TOL
         assert abs(value[i] - oracle.value) <= VALUE_TOL * (1.0 + abs(oracle.value))
         assert sel[i] == 0.0 or abs(sel[i]) >= lower_bound(v, lam[i], p) - MAGNITUDE_SLACK
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_kept_candidate_constants_follow_the_candidates(p):
+    # One _Prepared (then one restricted, then one for a new stepsize)
+    # solves z's whose candidate sets alternate, sets of one size but other
+    # members among them, so constants kept for a stale set would show; the
+    # restricted kernel starts on the positions where the full one ended,
+    # which there are other coordinates.  Weights from 1e-22 to 10 mix, in
+    # one call, candidates whose start passes the residual check with ones
+    # that need Newton steps.
+    rng = np.random.default_rng(5)
+    n = 12
+    lam = 10.0 ** rng.uniform(-22.0, 1.0, size=n)
+    factor = 10.0 ** rng.uniform(0.0, 10.0, size=n)
+    sign = rng.choice([-1.0, 1.0], size=n)
+    halves = np.arange(n) < n // 2
+    evens = np.arange(n) % 2 == 0
+    members = [halves, ~halves, evens, ~evens, halves, halves,
+               np.ones(n, bool), np.zeros(n, bool), ~evens, halves]
+    cols = np.array([0, 2, 3, 5, 6, 8, 9, 11])
+
+    def kernels():  # each after the one before has been used
+        k = _Prepared(0.8, lam, p)
+        yield k, lam
+        yield k.restrict(cols), lam[cols]
+        yield _Prepared(1.3, lam, p), lam
+
+    at_start = stepped = 0
+    for k, w in kernels():
+        v = k.v
+        for member in members:
+            member = member[: w.size]
+            # candidates sit above the cut, the rest below t_lb
+            z = sign[: w.size] * np.where(member, k.cut * factor[: w.size], 0.5 * k.t_lb)
+            y, value, idx = _prox_select(z, k)
+            assert np.array_equal(idx, member.nonzero()[0])
+            scalar = [prox_scalar(ProxQuery(z=float(zi), v=v, lam=float(li), p=p))
+                      for zi, li in zip(z, w)]
+            assert np.array_equal(y.view(np.uint64),
+                                  np.array([r.selection for r in scalar]).view(np.uint64))
+            assert np.array_equal(value.view(np.uint64),
+                                  np.array([r.value for r in scalar]).view(np.uint64))
+            # where Newton started, from the kernel's own roots
+            a = np.abs(z[idx])
+            root = _prox_abs(np.abs(z), k)[1]
+            start = a
+            if p == 0.5:
+                start = np.minimum(np.maximum(
+                    _half_root(a, k.half[0][idx], k.half[1][idx]), k.t_lb[idx]), a)
+            at_start += np.count_nonzero(root == start)
+            stepped += np.count_nonzero(root != start)
+    assert at_start > 10 and stepped > 10
 
 
 def test_prox_vector_validation():

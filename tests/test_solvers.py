@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,27 @@ def test_stepsize_validation_cites_bound(small_instance):
     bad_v = 1.0 / spectral_norm_sq(prob)  # twice the admissible sup
     with pytest.raises(StepsizeError, match=r"\|\|A\|\|"):
         run_pga(prob, SolverConfig(v=bad_v))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 2.5), ("max_iters", True), ("max_iters", "3"), ("max_iters", 0),
+    ("stop_tol", math.inf), ("stop_tol", math.nan), ("stop_tol", -1e-3),
+])
+def test_solver_config_refuses_a_bad_field(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        SolverConfig(v=0.01, **{field: value})
+
+
+def test_solver_config_takes_a_numpy_integer():
+    assert SolverConfig(v=0.01, max_iters=np.int64(3)).max_iters == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solver_refuses_kernel_constants_that_overflow():
+    # ||A||^2 = 1e-10 admits v near 5e9, and v * lam overflows
+    prob = Problem(A=1e-5 * np.eye(3), b=np.ones(3), lam=1e300, p=0.5)
+    with pytest.raises(ValidationError, match=r"^c = v\*lam\*p is not finite for v="):
+        run_pga(prob, SolverConfig(v=default_stepsize(prob)))
 
 
 def test_validate_rejects_stepsize_at_the_bound():
