@@ -131,14 +131,19 @@ def certify_h2(
     The minimal-norm subgradient norms are the trace's stored residuals
     (recomputed from iterates by the solvers); step k pairs the residual at
     x^{k+1} with ||x^{k+1} - x^k||.  eps_k is the trace's distance
-    certificate for run_ipga_2p traces and 0 otherwise.
+    certificate for run_ipga_2p traces and 0 otherwise.  Auto beta on a
+    trace of no steps, with no v_lo, has nothing to compare: the report
+    passes with constant 0.
     """
     if beta == "auto":
-        if v_lo is None:
-            if not trace.stepsizes:
-                raise ValidationError("auto beta needs v_lo or trace stepsizes")
+        if v_lo is None and trace.stepsizes:
             v_lo = min(trace.stepsizes)
-        beta = estimate_beta(prob, trace, v_lo)
+        if v_lo is not None:
+            beta = estimate_beta(prob, trace, v_lo)
+        elif trace.step_norms:
+            raise ValidationError("auto beta needs v_lo or trace stepsizes")
+        else:
+            beta = 0.0
     beta = float(beta)
     eps = (trace.eps_values if trace.eps_kind == "dist"
            else [0.0] * len(trace.step_norms))

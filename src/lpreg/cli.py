@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: generate, solve, prox-table, certify, rate, certify-point,
-enumerate, repro.  Every run writes a manifest (command line, configuration
-echo, input hashes, outputs, timing) next to its outputs; rerunning a
-command with the same flags reproduces the data files byte-for-byte.
+enumerate, repro (experiments prox-pin, linear, equivalence).  Every run
+writes a manifest (command line, configuration echo, input hashes,
+outputs, timing) next to its outputs; rerunning a command with the same
+flags reproduces the data files byte-for-byte.
 
 Exit codes: 0 success, 1 usage or validation error, 2 solver hit max_iters,
 3 certification or reproduction check failed.
@@ -260,7 +261,7 @@ def cmd_certify_point(args) -> tuple[int, dict]:
             "eps_hat": probe.eps_hat, "delta": probe.delta,
             "n_samples": probe.n_samples, "violations": probe.violations,
         }
-    print(json.dumps(data, sort_keys=True))
+    _say(args, json.dumps(data, sort_keys=True))
     out = args.out_dir / args.report_out
     _json_dump(out, data)
     return EXIT_OK, dict(
@@ -289,7 +290,7 @@ def cmd_enumerate(args) -> tuple[int, dict]:
             {"support": list(s), "signs": list(g)} for s, g in result.incomplete
         ],
     }
-    print(json.dumps(data, sort_keys=True))
+    _say(args, json.dumps(data, sort_keys=True))
     out = args.out_dir / args.report_out
     _json_dump(out, data)
     return EXIT_OK, dict(

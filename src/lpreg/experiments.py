@@ -5,9 +5,12 @@ to fully rendered text; given the same package build they re-render
 byte-identically, which is what the reproducibility gate checks.  All
 randomness is seeded and all iteration is order-fixed.
 
-The solver experiments run each method once per instance at its default
-config and fit its rate against the run's own limit: the final iterate,
-Newton-polished and certified a strict local minimum.
+There are three: ``prox-pin`` (the scalar prox against its oracle),
+``linear`` (the three solvers' rates) and ``equivalence`` (the optimality
+conditions against dense grids).  ``linear`` runs each method once per
+instance at its default config and fits its rate against the run's own
+limit: the final iterate, Newton-polished and certified a strict local
+minimum.  The inexact runs are compared with the same pass's exact runs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import ValidationError
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
 
-# Shared instance family for the solver experiments.
+# The instance family of the ``linear`` experiment.
 INSTANCE_SEEDS = tuple(range(1, 21))
 INSTANCE_PARAMS = dict(m=20, n=50, s=5, noise=0.0, lam=0.1, p=0.5)
 
@@ -130,7 +133,7 @@ def exp_prox_pin() -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Solver experiments on the shared 20-instance family.
+# linear: the three solvers on the 20-instance family.
 # ---------------------------------------------------------------------------
 
 
@@ -161,20 +164,6 @@ def reference_solution(prob, algo: str = "pga",
     return _solve(prob, algo, inexact or solvers.Schedule.zero())[2:]
 
 
-def _solve_family(algo: str, inexact: solvers.Schedule):
-    """One default run of ``algo`` per instance: the artifacts (problems,
-    configs, traces) and each trace's F*."""
-    artifacts = {"problems": [], "configs": [], "traces": []}
-    f_stars = []
-    for prob in make_instances():
-        cfg, trace, _, f_star = _solve(prob, algo, inexact)
-        artifacts["problems"].append(prob)
-        artifacts["configs"].append(cfg)
-        artifacts["traces"].append(trace)
-        f_stars.append(f_star)
-    return artifacts, f_stars
-
-
 def fit_tail_rate(trace, f_star, n_hat):
     """Geometric fit over the certified tail of a trace.
 
@@ -198,103 +187,90 @@ def fit_tail_rate(trace, f_star, n_hat):
                                quantity="objective-gap")
 
 
-def exp_pga_linear() -> ExperimentResult:
-    rows = []
-    failures = []
-    artifacts, f_stars = _solve_family("pga", solvers.Schedule.zero())
-    for seed, trace, f_star in zip(INSTANCE_SEEDS, artifacts["traces"], f_stars):
-        n_hat = analysis.detect_support_identification(trace)
-        fit = fit_tail_rate(trace, f_star, n_hat)
-        resid = trace.residuals[-1]
-        f = trace.f_values
-        checks = {
-            "converged": bool(trace.converged),
-            "monotone": not solvers._violations(f[1:], f[:-1],
-                                                1e-12 * (1.0 + f[0]))[0],
-            "support_identified": n_hat is not None,
-            "residual_ok": resid <= 1e-7,
-            "eta_in_range": 0.0 < fit.eta_hat < 1.0,
-            "fit_ok": fit.r2 >= 0.98,
+# (algo, file prefix, schedule) of the methods in the rate pass; exact PGA
+# runs first, since each inexact run is judged against its limit
+METHODS = (
+    ("pga", "pga-linear", None),
+    ("ipga1p", "ipga1-linear", TAU_SCHEDULE),
+    ("ipga2p", "ipga2-linear", T_SCHEDULE),
+)
+
+
+def exp_linear() -> ExperimentResult:
+    """Exact PGA and both inexact PGAs, each once per instance of the family.
+
+    Each method writes its own rows CSV and report JSON.  An inexact run's
+    ``dist_to_exact`` is its final iterate's distance to that of the same
+    instance's exact run; at least 18 of the 20 must lie within 1e-5.
+    ``summary`` and ``artifacts`` (the problems, and each method's configs
+    and traces) are keyed by algo.
+    """
+    rows = {algo: [] for algo, _, _ in METHODS}
+    failures = {algo: [] for algo, _, _ in METHODS}
+    artifacts = {algo: {"configs": [], "traces": []} for algo, _, _ in METHODS}
+    artifacts["problems"] = make_instances()
+    for seed, prob in zip(INSTANCE_SEEDS, artifacts["problems"]):
+        for algo, _, schedule in METHODS:
+            inexact = (solvers.Schedule.geometric(*schedule) if schedule
+                       else solvers.Schedule.zero())
+            cfg, trace, _, f_star = _solve(prob, algo, inexact)
+            artifacts[algo]["configs"].append(cfg)
+            artifacts[algo]["traces"].append(trace)
+            n_hat = analysis.detect_support_identification(trace)
+            fit = fit_tail_rate(trace, f_star, n_hat)
+            if algo == "pga":
+                exact = trace
+                resid = trace.residuals[-1]
+                f = trace.f_values
+                checks = {
+                    "converged": bool(trace.converged),
+                    "monotone": not solvers._violations(f[1:], f[:-1],
+                                                        1e-12 * (1.0 + f[0]))[0],
+                    "support_identified": n_hat is not None,
+                    "residual_ok": resid <= 1e-7,
+                    "eta_in_range": 0.0 < fit.eta_hat < 1.0,
+                    "fit_ok": fit.r2 >= 0.98,
+                }
+                tail = (-1 if n_hat is None else n_hat, float(resid), float(f[-1]))
+            else:
+                certs = not solvers._control_violations(trace, inexact, trace.eps_kind)
+                dist = float(np.linalg.norm(trace.final_iterate - exact.final_iterate))
+                checks = {
+                    "converged": bool(trace.converged),
+                    "certificates": certs,
+                    "eta_in_range": 0.0 < fit.eta_hat < 1.0,
+                    "fit_ok": fit.r2 >= 0.95,
+                }
+                tail = (int(certs), dist, int(dist <= 1e-5))
+            failures[algo].extend(f"seed {seed}: {name} failed"
+                                  for name, ok in checks.items() if not ok)
+            rows[algo].append((seed, len(trace), float(fit.eta_hat),
+                               float(fit.r2)) + tail)
+
+    summary, files = {}, {}
+    for algo, name, schedule in METHODS:
+        algo_rows = rows[algo]
+        summary[algo] = {
+            "instances": len(algo_rows),
+            "eta_max": max(r[2] for r in algo_rows),
+            "r2_min": min(r[3] for r in algo_rows),
         }
-        for name, ok in checks.items():
-            if not ok:
-                failures.append(f"seed {seed}: {name} failed")
-        rows.append((seed, len(trace), float(fit.eta_hat), float(fit.r2),
-                     -1 if n_hat is None else n_hat, float(resid),
-                     float(trace.f_values[-1])))
-    summary = {
-        "instances": len(rows),
-        "eta_max": max(r[2] for r in rows),
-        "r2_min": min(r[3] for r in rows),
-    }
-    files = {
-        "pga-linear-rows.csv": _csv_text(
-            ("seed", "iters", "eta_hat", "r2", "n_hat", "final_residual", "f_final"),
-            rows,
-        ),
-        "pga-linear-report.json": _json_text(
-            {"ok": not failures, **summary, "failures": failures}),
-    }
-    return ExperimentResult("pga-linear", not failures, summary, failures,
+        header = ("n_hat", "final_residual", "f_final")
+        if schedule:
+            matches = sum(r[6] for r in algo_rows)
+            if matches < 18:
+                failures[algo].append(f"only {matches}/20 runs reached the exact-PGA limit")
+            c, rho = schedule
+            summary[algo].update(schedule={"c": c, "rho": rho}, limit_matches=matches)
+            header = ("certs_ok", "dist_to_exact", "same_basin")
+        files[f"{name}-rows.csv"] = _csv_text(
+            ("seed", "iters", "eta_hat", "r2") + header, algo_rows)
+        files[f"{name}-report.json"] = _json_text(
+            {"ok": not failures[algo], **summary[algo], "failures": failures[algo]})
+    all_failures = [f"{name}: {failure}" for algo, name, _ in METHODS
+                    for failure in failures[algo]]
+    return ExperimentResult("linear", not all_failures, summary, all_failures,
                             files, artifacts)
-
-
-def _exp_ipga(algo: str) -> ExperimentResult:
-    c, rho = TAU_SCHEDULE if algo == "ipga1p" else T_SCHEDULE
-    rows = []
-    failures = []
-    matches = 0
-    artifacts, f_stars = _solve_family(algo, solvers.Schedule.geometric(c, rho))
-    for seed, prob, cfg, trace, f_star in zip(
-            INSTANCE_SEEDS, artifacts["problems"], artifacts["configs"],
-            artifacts["traces"], f_stars):
-        exact = solvers.run_pga(prob, solvers.SolverConfig(v=cfg.v))
-        n_hat = analysis.detect_support_identification(trace)
-        fit = fit_tail_rate(trace, f_star, n_hat)
-        certs = not solvers._control_violations(trace, cfg.inexact, trace.eps_kind)
-        dist = float(np.linalg.norm(trace.final_iterate - exact.final_iterate))
-        same_basin = dist <= 1e-5
-        matches += int(same_basin)
-        checks = {
-            "converged": bool(trace.converged),
-            "certificates": certs,
-            "eta_in_range": 0.0 < fit.eta_hat < 1.0,
-            "fit_ok": fit.r2 >= 0.95,
-        }
-        for name, ok in checks.items():
-            if not ok:
-                failures.append(f"seed {seed}: {name} failed")
-        rows.append((seed, len(trace), float(fit.eta_hat), float(fit.r2),
-                     int(certs), dist, int(same_basin)))
-    if matches < 18:
-        failures.append(f"only {matches}/20 runs reached the exact-PGA limit")
-    summary = {
-        "instances": len(rows),
-        "schedule": {"c": c, "rho": rho},
-        "limit_matches": matches,
-        "eta_max": max(r[2] for r in rows),
-        "r2_min": min(r[3] for r in rows),
-    }
-    name = "ipga1-linear" if algo == "ipga1p" else "ipga2-linear"
-    files = {
-        f"{name}-rows.csv": _csv_text(
-            ("seed", "iters", "eta_hat", "r2", "certs_ok", "dist_to_exact",
-             "same_basin"),
-            rows,
-        ),
-        f"{name}-report.json": _json_text(
-            {"ok": not failures, **summary, "failures": failures}),
-    }
-    return ExperimentResult(name, not failures, summary, failures, files,
-                            artifacts)
-
-
-def exp_ipga1_linear() -> ExperimentResult:
-    return _exp_ipga("ipga1p")
-
-
-def exp_ipga2_linear() -> ExperimentResult:
-    return _exp_ipga("ipga2p")
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +302,15 @@ def exp_equivalence() -> ExperimentResult:
     failures = []
     rows = []
 
-    fixed = fixed_1d_instance()
-    enum = optimality.enumerate_local_minima(fixed, probe_samples=4000)
+    report = optimality.equivalence_harness(fixed_1d_instance(), seed=11)
     # F(t) = (t - 2)^2 + |t|^(1/2) is stationary where t + t^(-1/2) / 4 = 2,
     # the prox equation of z = 2 at v = 1/2, whose root the prox selects here
     t_star = prox.prox_scalar(prox.ProxQuery(z=2.0, v=0.5, lam=1.0, p=0.5)).selection
-    points = sorted(float(x[0]) for x in enum.points)
+    points = sorted(float(x[0]) for x in report.enumerated)
     if len(points) != 2 or abs(points[0]) > 1e-12 or abs(points[1] - t_star) > 1e-8:
         failures.append(
             f"fixed 1-D instance local minima {points}, expected [0, {t_star:.8f}]"
         )
-    report = optimality.equivalence_harness(fixed, seed=11)
     if not report.ok:
         failures.extend(f"fixed 1-D: {c.detail}" for c in report.failures)
     rows.append(("fixed-1d", len(report.grid_minima), len(report.enumerated),
@@ -364,9 +338,7 @@ def exp_equivalence() -> ExperimentResult:
 
 EXPERIMENTS = {
     "prox-pin": exp_prox_pin,
-    "pga-linear": exp_pga_linear,
-    "ipga1-linear": exp_ipga1_linear,
-    "ipga2-linear": exp_ipga2_linear,
+    "linear": exp_linear,
     "equivalence": exp_equivalence,
 }
 

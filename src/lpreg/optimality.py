@@ -193,10 +193,6 @@ class EnumerationResult:
     minima: list[tuple[np.ndarray, OptimalityReport]]
     incomplete: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
-    @property
-    def points(self) -> list[np.ndarray]:
-        return [x for x, _ in self.minima]
-
 
 def _newton_in_orthant(prob, idx, signs, y0, max_iters=200):
     """Damped Newton for the orthant-restricted stationarity equations.
@@ -484,12 +480,13 @@ def equivalence_harness(
         polished.append(x)
     polished = _dedupe(polished, tol=max(1e-8, 2.0 * h))
 
-    # grid-certified minimum => second-order conditions (nonzero) or probe (0)
+    # grid-certified minimum => second-order conditions (nonzero) or probe
+    # (0): the enumeration keeps the zero point iff its probe, at this seed
+    # and sample count, finds no violation
     for x in polished:
         if np.count_nonzero(x) == 0:
-            probe = growth_probe(prob, x, n_samples=trials, seed=seed)
-            ok = probe.violations == 0
-            detail = f"zero-point probe violations={probe.violations}"
+            ok = any(np.count_nonzero(y) == 0 for y, _ in enum.minima)
+            detail = "the enumeration's zero-point probe found violations"
         else:
             report = classify_point(prob, x)
             ok = report.classification == CLASS_LOCAL_MIN
@@ -502,7 +499,7 @@ def equivalence_harness(
 
     # second-order point => growth probe clean
     for x, report in enum.minima:
-        probe = report.growth or growth_probe(prob, x, n_samples=trials, seed=seed)
+        probe = report.growth
         checks.append(HarnessCheck(
             "conditions-imply-growth", x, probe.violations == 0,
             f"violations={probe.violations} eps_hat={probe.eps_hat:.3e}",

@@ -1,11 +1,14 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The canned experiments are shared across criteria through
-module-scoped fixtures, so the whole gate runs each of them at most twice
-(the second run feeds the byte-identical reproducibility check).
+lines.  The three canned experiments are shared across criteria through
+module-scoped fixtures, so the whole gate runs each of them twice (the
+second run feeds the byte-identical reproducibility check).  The fixtures
+also count the solver runs of ``linear`` and the growth probes of
+``equivalence``, so that no repeated work creeps back in.
 """
 
+import collections
 import time
 
 import numpy as np
@@ -18,12 +21,11 @@ from lpreg import (
     lower_bound,
     spectral_norm_sq,
 )
+from lpreg import optimality, solvers
 from lpreg.experiments import (
     EXPERIMENTS,
     exp_equivalence,
-    exp_ipga1_linear,
-    exp_ipga2_linear,
-    exp_pga_linear,
+    exp_linear,
     exp_prox_pin,
     run_experiment,
 )
@@ -36,29 +38,38 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
+def _timed_counting(fn, module, names):
+    """``_timed(fn)`` with ``module``'s ``names`` patched to count their
+    calls; returns the result, the time and the counts by name."""
+    calls = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            mp.setattr(module, name, counted)
+        return (*_timed(fn), calls)
+
+
+def _failures(result, *names):
+    """``linear``'s failures in the reports of ``names``."""
+    return [f for f in result.failures if f.split(":")[0] in names]
+
+
 @pytest.fixture(scope="module")
 def prox_pin():
     return _timed(exp_prox_pin)
 
 
 @pytest.fixture(scope="module")
-def pga_linear():
-    return _timed(exp_pga_linear)
-
-
-@pytest.fixture(scope="module")
-def ipga1_linear():
-    return _timed(exp_ipga1_linear)
-
-
-@pytest.fixture(scope="module")
-def ipga2_linear():
-    return _timed(exp_ipga2_linear)
+def linear():
+    return _timed_counting(exp_linear, solvers,
+                           ("run_pga", "run_ipga_1p", "run_ipga_2p"))
 
 
 @pytest.fixture(scope="module")
 def equivalence():
-    return _timed(exp_equivalence)
+    return _timed_counting(exp_equivalence, optimality, ("growth_probe",))
 
 
 def test_criterion_1_prox_oracle_equivalence(prox_pin):
@@ -74,14 +85,14 @@ def test_criterion_1_prox_oracle_equivalence(prox_pin):
           f"half {s['worst_half_err']:.2e}, {elapsed:.1f}s)")
 
 
-def test_criterion_2_magnitude_law(prox_pin, pga_linear):
+def test_criterion_2_magnitude_law(prox_pin, linear):
     result, _ = prox_pin
     assert result.summary["magnitude_law_violations"] == 0
-    exp, _ = pga_linear
+    exp = linear[0]
     violations = 0
     for prob, cfg, trace in zip(exp.artifacts["problems"],
-                                exp.artifacts["configs"],
-                                exp.artifacts["traces"]):
+                                exp.artifacts["pga"]["configs"],
+                                exp.artifacts["pga"]["traces"]):
         bound = lower_bound(cfg.v_lo, prob.lambda_lower, prob.p) - 1e-12
         for xs in trace.values[1:]:
             if xs.size and np.abs(xs).min() < bound:
@@ -90,32 +101,36 @@ def test_criterion_2_magnitude_law(prox_pin, pga_linear):
     print("\nACCEPTANCE 2 nonzero-magnitude-law: PASS (0 violations)")
 
 
-def test_criterion_3_exact_pga_linear_convergence(pga_linear):
-    result, elapsed = pga_linear
-    assert result.ok, result.failures
-    assert result.summary["r2_min"] >= 0.98
-    assert 0.0 < result.summary["eta_max"] < 1.0
-    assert elapsed < 60.0, f"PGA experiment took {elapsed:.1f}s"
+def test_criterion_3_exact_pga_linear_convergence(linear):
+    result, elapsed, _ = linear
+    s = result.summary["pga"]
+    assert not _failures(result, "pga-linear"), result.failures
+    assert s["r2_min"] >= 0.98
+    assert 0.0 < s["eta_max"] < 1.0
+    # the bound covers the whole rate pass: all three methods
+    assert elapsed < 60.0, f"linear experiment took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 3 exact-pga-linear: PASS "
-          f"(eta_max {result.summary['eta_max']:.4f}, "
-          f"r2_min {result.summary['r2_min']:.4f}, {elapsed:.1f}s)")
+          f"(eta_max {s['eta_max']:.4f}, r2_min {s['r2_min']:.4f}, "
+          f"rate pass {elapsed:.1f}s)")
 
 
-def test_criterion_4_inexact_pga_linear_convergence(ipga1_linear, ipga2_linear):
-    for result, _ in (ipga1_linear, ipga2_linear):
-        assert result.ok, result.failures
-        assert result.summary["r2_min"] >= 0.95
-        assert 0.0 < result.summary["eta_max"] < 1.0
-        assert result.summary["limit_matches"] >= 18
-    r1 = ipga1_linear[0].summary
-    r2 = ipga2_linear[0].summary
+def test_criterion_4_inexact_pga_linear_convergence(linear):
+    result = linear[0]
+    assert not _failures(result, "ipga1-linear", "ipga2-linear"), result.failures
+    for algo in ("ipga1p", "ipga2p"):
+        s = result.summary[algo]
+        assert s["r2_min"] >= 0.95
+        assert 0.0 < s["eta_max"] < 1.0
+        assert s["limit_matches"] >= 18
+    r1 = result.summary["ipga1p"]
+    r2 = result.summary["ipga2p"]
     print(f"\nACCEPTANCE 4 inexact-pga-linear: PASS "
           f"(value-type r2_min {r1['r2_min']:.4f} matches {r1['limit_matches']}/20; "
           f"distance-type r2_min {r2['r2_min']:.4f} matches {r2['limit_matches']}/20)")
 
 
 def test_criterion_5_equivalence_harness(equivalence):
-    result, elapsed = equivalence
+    result, elapsed, _ = equivalence
     assert result.ok, result.failures
     assert elapsed < 120.0, f"equivalence harness took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 5 optimality-equivalence: PASS "
@@ -145,40 +160,32 @@ def test_criterion_6_recursion_bound():
     print("\nACCEPTANCE 6 recursion-bound: PASS (1000 triples, 0 failures)")
 
 
-def test_criterion_7_condition_certification_closure(pga_linear, ipga1_linear,
-                                                     ipga2_linear):
-    exp, _ = pga_linear
-    for prob, cfg, trace in zip(exp.artifacts["problems"],
-                                exp.artifacts["configs"],
-                                exp.artifacts["traces"]):
+def test_criterion_7_condition_certification_closure(linear):
+    art = linear[0].artifacts
+    for prob, cfg, trace in zip(art["problems"], art["pga"]["configs"],
+                                art["pga"]["traces"]):
         alpha = 1.0 / (2.0 * cfg.v_hi) - (spectral_norm_sq(prob) + SPECTRAL_TOL)
         assert alpha > 0
         h1 = certify_h1(trace, alpha=alpha)
         assert h1.ok, (h1.worst_index, h1.worst_violation)
         h2 = certify_h2(prob, trace, beta="auto")
         assert h2.ok, (h2.worst_index, h2.worst_violation)
-    exp1, _ = ipga1_linear
-    for prob, cfg, trace in zip(exp1.artifacts["problems"],
-                                exp1.artifacts["configs"],
-                                exp1.artifacts["traces"]):
+    for prob, cfg, trace in zip(art["problems"], art["ipga1p"]["configs"],
+                                art["ipga1p"]["traces"]):
         alpha = 1.0 / (2.0 * cfg.v_hi) - (spectral_norm_sq(prob) + SPECTRAL_TOL)
         h1 = certify_h1(trace, alpha=alpha)  # eps_k^2 = summed value gaps
         assert h1.ok, (h1.worst_index, h1.worst_violation)
-    exp2, _ = ipga2_linear
-    for prob, trace in zip(exp2.artifacts["problems"], exp2.artifacts["traces"]):
+    for prob, trace in zip(art["problems"], art["ipga2p"]["traces"]):
         h2 = certify_h2(prob, trace, beta="auto")  # eps_k = distance norms
         assert h2.ok, (h2.worst_index, h2.worst_violation)
     print("\nACCEPTANCE 7 condition-certification-closure: PASS "
           "(20 exact + 20 value-type + 20 distance-type traces)")
 
 
-def test_criterion_8_reproducibility(prox_pin, pga_linear, ipga1_linear,
-                                     ipga2_linear, equivalence):
+def test_criterion_8_reproducibility(prox_pin, linear, equivalence):
     first = {
         "prox-pin": prox_pin[0],
-        "pga-linear": pga_linear[0],
-        "ipga1-linear": ipga1_linear[0],
-        "ipga2-linear": ipga2_linear[0],
+        "linear": linear[0],
         "equivalence": equivalence[0],
     }
     assert set(first) == set(EXPERIMENTS)
@@ -189,5 +196,13 @@ def test_criterion_8_reproducibility(prox_pin, pga_linear, ipga1_linear,
             assert rerun.files[fname] == result.files[fname], (
                 f"{name}: {fname} differs between runs"
             )
-    print("\nACCEPTANCE 8 reproducibility: PASS "
-          "(5 experiments re-rendered byte-identically)")
+    print(f"\nACCEPTANCE 8 reproducibility: PASS ({len(first)} experiments, "
+          f"{sum(len(r.files) for r in first.values())} files, "
+          f"re-rendered byte-identically)")
+
+
+def test_each_result_is_computed_once(linear, equivalence):
+    # one run per method and instance; one probe per enumerated local
+    # minimum, the zero point included
+    assert linear[2] == {"run_pga": 20, "run_ipga_1p": 20, "run_ipga_2p": 20}
+    assert equivalence[2] == {"growth_probe": 35}

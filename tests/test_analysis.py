@@ -12,6 +12,7 @@ from lpreg import (
     default_stepsize,
     detect_support_identification,
     fit_rate,
+    generate_instance,
     run_ipga_1p,
     run_pga,
     spectral_norm_sq,
@@ -102,6 +103,22 @@ def test_h2_detects_violation(one_dim):
     trace = _fake_trace([1.0, 0.9], [1e-6], residuals=[0.0, 5.0])
     report = certify_h2(one_dim, trace, beta=1.0)
     assert not report.ok
+
+
+def test_h2_auto_beta_passes_a_zero_step_trace():
+    # at this lambda x = 0 is the first iterate: no step and no stepsize
+    prob, _ = generate_instance(seed=3, m=5, n=8, s=2, lam=1000.0)
+    trace = run_pga(prob, SolverConfig(v=default_stepsize(prob)))
+    assert len(trace) == 1 and trace.stepsizes == []
+    report = certify_h2(prob, trace, beta="auto")
+    assert report.ok and report.violations == []
+    assert report.constant == 0.0
+
+
+def test_h2_auto_beta_refuses_steps_without_a_stepsize():
+    trace = dataclasses.replace(_fake_trace([1.0, 0.9], [0.1]), stepsizes=None)
+    with pytest.raises(ValidationError, match="auto beta"):
+        certify_h2(None, trace, beta="auto")
 
 
 @pytest.mark.parametrize("n_values", [2, 3, 5])

@@ -82,12 +82,26 @@ def test_certify_point_zero(tmp_path, capsys):
     out = str(tmp_path)
     run_cli("--out-dir", out, "--quiet", "generate", "--n", "4", "--m", "3",
             "--s", "1", "--out", "p.lpreg")
-    code = run_cli("--out-dir", out, "--quiet", "certify-point",
+    code = run_cli("--out-dir", out, "certify-point",
                    "--problem", str(tmp_path / "p.lpreg"),
                    "--point", "[0.0, 0.0, 0.0, 0.0]")
     assert code == 0
     data = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert data["classification"] == "zero-point"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("certify-point", ("--point", "[0, 0, 0, 0]", "--probe")),
+    ("enumerate", ()),
+])
+def test_quiet_leaves_stdout_empty(tmp_path, capsys, command, flags):
+    out = str(tmp_path)
+    run_cli("--out-dir", out, "--quiet", "generate", "--n", "4", "--m", "3",
+            "--s", "1", "--out", "p.lpreg")
+    assert run_cli("--out-dir", out, "--quiet", command,
+                   "--problem", str(tmp_path / "p.lpreg"), *flags) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / f"{command}-manifest.json").exists()
 
 
 def test_prox_table(tmp_path):
