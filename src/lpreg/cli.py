@@ -4,7 +4,9 @@ Subcommands: generate, solve, prox-table, certify, rate, certify-point,
 enumerate, repro (experiments prox-pin, linear, equivalence).  Every run
 writes a manifest (command line, configuration echo, input hashes,
 outputs, timing) next to its outputs; rerunning a command with the same
-flags reproduces the data files byte-for-byte.
+flags reproduces the data files byte-for-byte.  ``certify`` hashes its
+inputs on one worker thread while it checks the trace, and joins it on
+every path before it writes the manifest; no output depends on it.
 
 Exit codes: 0 success, 1 usage or validation error, 2 solver hit max_iters,
 3 certification or reproduction check failed.
@@ -190,27 +192,59 @@ def cmd_prox_table(args) -> tuple[int, dict]:
     )
 
 
+class _Hashing:
+    """``_hash_file`` of each path, run on one worker thread that does
+    nothing else, so the caller's work goes on meanwhile: the reads and
+    hashlib release the GIL.  ``result`` joins the worker and gives the
+    hashes (path -> hex digest), or raises the worker's error."""
+
+    def __init__(self, paths):
+        import threading  # numpy has imported it already
+
+        self.hashes, self.error = {}, None
+        self.thread = threading.Thread(target=self._run, args=(paths,), name="lpreg-hash")
+        self.thread.start()
+
+    def _run(self, paths):
+        try:
+            for path in paths:
+                self.hashes[path] = _hash_file(path)
+        except Exception as exc:  # raised again by result()
+            self.error = exc
+
+    def result(self) -> dict:
+        self.thread.join()
+        if self.error is not None:
+            raise self.error
+        return self.hashes
+
+
 def cmd_certify(args) -> tuple[int, dict]:
     prob = problem.load_problem(args.problem)
-    trace = problem.load_trace(args.trace)
-    v_lo = args.v if args.v is not None else solvers.default_stepsize(prob)
-    a_sq = problem.spectral_upper_bound(prob)
-    if args.alpha == "auto":
-        alpha = 1.0 / (2.0 * v_lo) - a_sq
-    else:
-        alpha = args.alpha
-    if not math.isfinite(alpha) or alpha <= 0:
-        raise ValidationError(f"nonpositive alpha {alpha}; stepsize too large?")
-    h1 = analysis.certify_h1(trace, alpha)
-    h2 = analysis.certify_h2(prob, trace, beta=args.beta, v_lo=v_lo)
-    report = {"h1": asdict(h1), "h2": asdict(h2), "ok": h1.ok and h2.ok}
-    out = args.out_dir / args.report_out
-    _json_dump(out, report)
-    _say(args, json.dumps(report, sort_keys=True))
+    # the manifest's input hashes; an error of the work below comes first
+    hashing = _Hashing((args.problem, args.trace))
+    try:
+        trace = problem.load_trace(args.trace)
+        v_lo = args.v if args.v is not None else solvers.default_stepsize(prob)
+        a_sq = problem.spectral_upper_bound(prob)
+        if args.alpha == "auto":
+            alpha = 1.0 / (2.0 * v_lo) - a_sq
+        else:
+            alpha = args.alpha
+        if not math.isfinite(alpha) or alpha <= 0:
+            raise ValidationError(f"nonpositive alpha {alpha}; stepsize too large?")
+        h1 = analysis.certify_h1(trace, alpha)
+        h2 = analysis.certify_h2(prob, trace, beta=args.beta, v_lo=v_lo)
+        report = {"h1": asdict(h1), "h2": asdict(h2), "ok": h1.ok and h2.ok}
+        out = args.out_dir / args.report_out
+        _json_dump(out, report)
+        _say(args, json.dumps(report, sort_keys=True))
+    finally:
+        hashing.thread.join()
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED, dict(
         config={"alpha": args.alpha, "beta": args.beta, "v": v_lo},
         seed=None,
-        input_hashes={p: _hash_file(p) for p in (args.problem, args.trace)},
+        input_hashes=hashing.result(),
         outputs=[str(out)],
     )
 

@@ -46,10 +46,28 @@ SPECTRAL_TOL = 1e-10
 _BLOCK = 3 << 13
 
 
-def _as_readonly(a, order="K"):
-    """A read-only float64 copy of ``a``: no caller can write through it."""
-    out = np.array(a, dtype=np.float64, order=order, copy=True)
-    out.setflags(write=False)
+class _Owned:
+    """An array that ``load_problem`` has just allocated and hands over to
+    ``Problem`` as it is: no caller holds another reference to it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
+
+
+def _as_readonly(a, order="K", ndmin=1):
+    """A read-only float64 array of ``a`` with at least ``ndmin`` dimensions:
+    a copy, so that no caller can write through it, unless ``a`` is
+    ``_Owned``, whose array is taken without one (converted only where its
+    dtype or order differs) and made read-only with its bases."""
+    owned = isinstance(a, _Owned)
+    out = np.array(a.array if owned else a, dtype=np.float64, order=order,
+                   copy=None if owned else True, ndmin=ndmin)
+    base = out
+    while isinstance(base, np.ndarray):
+        base.setflags(write=False)
+        base = base.base
     return out
 
 
@@ -62,7 +80,9 @@ class Problem:
     identity: an elementwise ``==`` of the arrays has no single truth value.
     ``A`` is held read-only in column-major order, so ``A.T`` is the
     C-ordered array whose rows are the columns of A, which the solvers'
-    products read without a copy.
+    products read without a copy.  The constructor copies every array it
+    is given, so that no caller can change an instance; only
+    ``load_problem`` hands over the arrays it has just read, without a copy.
     """
 
     A: np.ndarray
@@ -77,8 +97,8 @@ class Problem:
     _a_sq: float | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        A = _as_readonly(np.atleast_2d(self.A), order="F")
-        b = _as_readonly(np.atleast_1d(self.b))
+        A = _as_readonly(self.A, order="F", ndmin=2)
+        b = _as_readonly(self.b)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         if A.ndim != 2:
@@ -104,7 +124,7 @@ class Problem:
         if self.weights is None:
             w = _as_readonly(np.full(A.shape[1], self.lam))
         else:
-            w = _as_readonly(np.atleast_1d(self.weights))
+            w = _as_readonly(self.weights)
             if w.shape != (A.shape[1],):
                 raise DimensionMismatchError(
                     f"weights has shape {w.shape}, expected ({A.shape[1]},)"
@@ -290,10 +310,12 @@ def generate_instance(
 # eps column named after the trace's eps kind: eps_k for an exact run,
 # eps_value (value gaps, ipga1p) or eps_dist (distance norms, ipga2p).
 # One row per recorded iterate, k = 0, 1, ... in order, numbers with 17
-# significant digits.  The final row's step_norm and eps are 0.0 (no
-# successor iterate).  Reading rejects a file without rows, non-finite
-# numbers, negative support sizes and a final row whose step_norm or eps
-# is not 0.0 (a truncated file), so a certificate never sees them.
+# significant digits, each row ending in \r\n as csv.writer ends it
+# (reading also takes \n and skips blank lines).  The final row's
+# step_norm and eps are 0.0 (no successor iterate).  Reading rejects a
+# file without rows, non-finite numbers, negative support sizes and a
+# final row whose step_norm or eps is not 0.0 (a truncated file), so a
+# certificate never sees them.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"LPREGPB1"
@@ -395,8 +417,10 @@ def load_problem(path) -> Problem:
     with its arrays as lists (see File formats)."""
     with open(path, "rb") as fh:
         fields = _load_binary(fh) if fh.read(len(_MAGIC)) == _MAGIC else _load_json(fh)
+    # the arrays are this call's own: Problem checks them and keeps them
+    owned = {k: _Owned(v) if isinstance(v, np.ndarray) else v for k, v in fields.items()}
     try:
-        return Problem(**fields)
+        return Problem(**owned)
     except (ValidationError, DimensionMismatchError) as exc:
         raise ProblemFormatError(str(exc)) from exc
 
@@ -418,69 +442,88 @@ def save_problem(path, prob: Problem) -> None:
 TRACE_COLUMNS = ("k", "F", "step_norm", "residual", "support_size")
 EPS_COLUMNS = {"none": "eps_k", "value": "eps_value", "dist": "eps_dist"}
 _EPS_KINDS = {name: kind for kind, name in EPS_COLUMNS.items()}
+# one trace row as csv.writer writes it: no field needs quoting
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 def save_trace(path, trace) -> None:
-    """Write a per-iteration trace as CSV (see module header for format)."""
+    """Write a per-iteration trace as CSV (see module header for format),
+    byte for byte what ``csv.writer`` writes, one ``%`` format per row."""
     # the final iterate has no successor step: 0.0 placeholders
-    rows = zip(trace.f_values, trace.step_norms + [0.0], trace.residuals,
-               trace.support_sizes, trace.eps_values + [0.0], strict=True)
+    rows = zip(range(len(trace.f_values)), trace.f_values, trace.step_norms + [0.0],
+               trace.residuals, trace.support_sizes, trace.eps_values + [0.0], strict=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS + (EPS_COLUMNS[trace.eps_kind],))
-        writer.writerows([k] + [f"{v:.17g}" for v in row]
-                         for k, row in enumerate(rows))
+        fh.write(",".join(TRACE_COLUMNS + (EPS_COLUMNS[trace.eps_kind],)) + "\r\n")
+        fh.write("".join(map(_TRACE_ROW.__mod__, rows)))
+
+
+def _trace_error(lines) -> ProblemFormatError:
+    """The error of the first faulty row of a trace CSV split into
+    ``lines`` (header first), found row by row; blank lines count towards
+    the line numbers and are skipped.  Called once the rows fail a check."""
+    count = last = 0
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            return ProblemFormatError(f"expected 6 columns, got {len(row)}", line=lineno)
+        try:
+            k, size = int(row[0]), int(row[4])
+            values = [float(row[i]) for i in (1, 2, 3, 5)]
+        except ValueError as exc:
+            return ProblemFormatError(str(exc), line=lineno)
+        if k != count:
+            return ProblemFormatError(f"k={k}, expected {count}", line=lineno)
+        if size < 0:
+            return ProblemFormatError(f"negative support_size {size}", line=lineno)
+        if not all(map(math.isfinite, values)):
+            return ProblemFormatError(f"non-finite value in {row!r}", line=lineno)
+        count, last = count + 1, lineno
+    if not count:
+        return ProblemFormatError("trace has no rows", line=2)
+    # every row passes: the check left is the final row's placeholders
+    # (save_trace), which a truncated file has lost
+    return ProblemFormatError(
+        "final row's step_norm and eps must be 0.0; truncated trace?", line=last)
 
 
 def load_trace(path):
     """Read a trace CSV back into an IterationTrace (iterates absent), its
-    eps kind taken from the eps column's name."""
+    eps kind taken from the eps column's name.
+
+    ``csv.reader`` splits the rows; whole columns are then converted and
+    checked at once, and a file that fails any check is walked row by row
+    for the first fault and its line.
+    """
     from .solvers import IterationTrace
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProblemFormatError("empty trace file", line=1) from None
-        if tuple(header[:-1]) != TRACE_COLUMNS or header[-1] not in _EPS_KINDS:
-            raise ProblemFormatError(f"bad trace header {header!r}", line=1)
-        f_vals, steps, resids, sizes, eps = [], [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ProblemFormatError(f"expected 6 columns, got {len(row)}", line=lineno)
-            try:
-                k, size = int(row[0]), int(row[4])
-                f, step, resid, e = (float(row[i]) for i in (1, 2, 3, 5))
-            except ValueError as exc:
-                raise ProblemFormatError(str(exc), line=lineno) from exc
-            if k != len(f_vals):
-                raise ProblemFormatError(f"k={k}, expected {len(f_vals)}", line=lineno)
-            if size < 0:
-                raise ProblemFormatError(f"negative support_size {size}", line=lineno)
-            if not all(map(math.isfinite, (f, step, resid, e))):
-                raise ProblemFormatError(f"non-finite value in {row!r}", line=lineno)
-            sizes.append(size)
-            f_vals.append(f)
-            steps.append(step)
-            resids.append(resid)
-            eps.append(e)
-            last = lineno
-    if not f_vals:
-        raise ProblemFormatError("trace has no rows", line=2)
-    # drop the final row's 0.0 placeholders (save_trace): the step and eps
-    # sequences have one entry per actual step
-    if steps[-1] != 0.0 or eps[-1] != 0.0:
-        raise ProblemFormatError(
-            "final row's step_norm and eps must be 0.0; truncated trace?", line=last)
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise ProblemFormatError("empty trace file", line=1)
+    header = lines[0]
+    if tuple(header[:-1]) != TRACE_COLUMNS or header[-1] not in _EPS_KINDS:
+        raise ProblemFormatError(f"bad trace header {header!r}", line=1)
+    try:
+        # unpacking fails on no rows, and strict zip on rows of other lengths
+        k, f, step, resid, size, eps = zip(*filter(None, lines[1:]), strict=True)
+        ks, sizes = list(map(int, k)), list(map(int, size))
+        f, step, resid, eps = (list(map(float, col)) for col in (f, step, resid, eps))
+    except ValueError:
+        raise _trace_error(lines) from None
+    # the final row's 0.0 placeholders mark a complete file
+    if (ks != list(range(len(ks))) or min(sizes) < 0
+            or not all(map(math.isfinite, f + step + resid + eps))
+            or step[-1] != 0.0 or eps[-1] != 0.0):
+        raise _trace_error(lines)
+    # drop those placeholders: the step and eps sequences have one entry
+    # per actual step
     return IterationTrace(
-        f_values=f_vals,
-        step_norms=steps[:-1],
+        f_values=f,
+        step_norms=step[:-1],
         eps_values=eps[:-1],
         support_sizes=sizes,
-        residuals=resids,
+        residuals=resid,
         converged=None,
         algo="loaded",
         eps_kind=_EPS_KINDS[header[-1]],

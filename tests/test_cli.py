@@ -1,7 +1,10 @@
 import base64
+import hashlib
 import json
 import math
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from lpreg import (
     save_trace,
     spectral_norm_sq,
 )
+from lpreg import cli
 from lpreg.cli import main
 from lpreg.solvers import runner
 
@@ -468,3 +472,61 @@ def test_solve_manifest_counts_the_solver_work(tmp_path):
     assert set(stats) == {"full_products", "mean_working_set"}
     assert stats["full_products"] >= 1
     assert 0 < stats["mean_working_set"] < 200
+
+
+def test_manifests_hash_the_inputs_in_chunks(tmp_path):
+    # a problem file of several 64 KiB read chunks, hashed on certify's worker
+    out = str(tmp_path)
+    run_cli("--out-dir", out, "--quiet", "generate", "--m", "20", "--n", "1000",
+            "--s", "3", "--out", "p.lpreg")
+    problem_file, trace_file = tmp_path / "p.lpreg", tmp_path / "t.csv"
+    assert problem_file.stat().st_size > 2 * 65536
+    threads = threading.active_count()
+    assert _solve(tmp_path, "pga") == 0
+    code, _ = _certify(tmp_path, "t.csv")
+    assert code == 0 and threading.active_count() == threads
+    for command, paths in (("solve", [problem_file]), ("certify", [problem_file, trace_file])):
+        manifest = json.loads((tmp_path / f"{command}-manifest.json").read_text())
+        assert manifest["input_hashes"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
+def _certify_error(tmp_path, capsys, problem_file, trace_file):
+    threads = threading.active_count()
+    capsys.readouterr()
+    code = run_cli("--out-dir", str(tmp_path), "--quiet", "certify",
+                   "--trace", str(trace_file), "--problem", str(problem_file))
+    assert threading.active_count() == threads
+    assert not (tmp_path / "certify-manifest.json").exists()
+    return code, capsys.readouterr().err
+
+
+def test_certify_errors_join_the_hashing_worker(tmp_path, capsys, monkeypatch):
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.lpreg")
+    assert _solve(tmp_path, "pga") == 0
+    # a slow hash outlasts the main thread's error, unless main joins the worker
+    hash_file = cli._hash_file
+    monkeypatch.setattr(cli, "_hash_file", lambda path: time.sleep(0.05) or hash_file(path))
+    problem_file, trace_file = tmp_path / "p.lpreg", tmp_path / "t.csv"
+    missing = tmp_path / "missing"
+    assert _certify_error(tmp_path, capsys, missing, trace_file) == (
+        1, f"error: [Errno 2] No such file or directory: '{missing}'\n")
+    # the worker has started, and fails on the missing trace too
+    assert _certify_error(tmp_path, capsys, problem_file, missing) == (
+        1, f"error: [Errno 2] No such file or directory: '{missing}'\n")
+    lines = trace_file.read_text().splitlines(keepends=True)
+    trace_file.write_text("".join(lines[:3]) + "5,1.0,0.0,0.0,1,0.0\n")
+    assert _certify_error(tmp_path, capsys, problem_file, trace_file) == (
+        1, "error: line 4: k=5, expected 2\n")
+
+
+def test_certify_raises_the_hashing_workers_error(tmp_path, capsys, monkeypatch):
+    run_cli("--out-dir", str(tmp_path), "--quiet", "generate", "--out", "p.lpreg")
+    assert _solve(tmp_path, "pga") == 0
+
+    def gone(path):
+        raise FileNotFoundError(f"{path} went away")
+
+    monkeypatch.setattr(cli, "_hash_file", gone)
+    code, err = _certify_error(tmp_path, capsys, tmp_path / "p.lpreg", tmp_path / "t.csv")
+    assert (code, err) == (1, f"error: {tmp_path / 'p.lpreg'} went away\n")

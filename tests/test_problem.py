@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -27,8 +28,16 @@ from lpreg.errors import (
 )
 from lpreg.experiments import make_instances
 from lpreg.optimality import default_probe_delta
-from lpreg.problem import SPECTRAL_TOL, _columns, _residual, _rows
+from lpreg.problem import (
+    EPS_COLUMNS,
+    SPECTRAL_TOL,
+    TRACE_COLUMNS,
+    _columns,
+    _residual,
+    _rows,
+)
 from lpreg.solvers import (
+    IterationTrace,
     Schedule,
     SolverConfig,
     default_stepsize,
@@ -267,14 +276,34 @@ def test_problem_copies_its_inputs():
     assert not (prob.A.flags.writeable or prob.b.flags.writeable)
 
 
+def _assert_read_only_with_bases(prob):
+    for arr in (prob.A, prob.b, prob.weights, prob.lambda_vec):
+        while isinstance(arr, np.ndarray):
+            assert not arr.flags.writeable
+            arr = arr.base
+
+
 def test_loaded_problem_holds_one_copy_of_each_array(tmp_path):
     prob, _ = generate_instance(seed=3, m=4, n=6, s=2, noise=0.05, lam=0.3, p=0.6)
     prob = Problem(A=prob.A, b=prob.b, lam=0.3, p=0.6, weights=np.linspace(0.5, 2.0, 6))
     save_problem(tmp_path / "p.lpreg", prob)
-    loaded = load_problem(tmp_path / "p.lpreg")
-    # A is one column-major copy, whose transpose the solvers read without another
-    assert loaded.A.flags.f_contiguous and not loaded.A.flags.writeable
-    assert np.shares_memory(_columns(loaded.A), loaded.A)
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"m": 4, "n": 6, "p": 0.6, "lambda": 0.3, "A": prob.A.tolist(),
+         "b": prob.b.tolist(), "weights": prob.weights.tolist()}))
+    for path in (tmp_path / "p.lpreg", tmp_path / "p.json"):
+        loaded = load_problem(path)
+        # A is one column-major copy, whose transpose the solvers read without another
+        assert loaded.A.flags.f_contiguous
+        assert np.shares_memory(_columns(loaded.A), loaded.A)
+        # the loader's arrays are kept, and nothing can write through them or their bases
+        _assert_read_only_with_bases(loaded)
+        assert loaded.A.tobytes() == prob.A.tobytes()
+        assert loaded.weights.tobytes() == prob.weights.tobytes()
+    # the public constructor still copies a loaded problem's arrays
+    again = Problem(A=loaded.A, b=loaded.b, lam=0.3, p=0.6, weights=loaded.weights)
+    for arr, held in ((again.A, loaded.A), (again.b, loaded.b),
+                      (again.weights, loaded.weights)):
+        assert not np.shares_memory(arr, held)
 
 
 def test_spectral_norm_matches_the_row_major_gram():
@@ -345,12 +374,13 @@ def test_save_problem_copies_no_array(wide_instance):
 
 
 def test_load_problem_reads_the_arrays_without_text(wide_instance):
-    # the array read from the file and Problem's own copy of it
+    # the array read from the file is the one Problem keeps
     prob, tmp = wide_instance
     save_problem(tmp / "p.lpreg", prob)
     peak, loaded = _traced_peak(load_problem, tmp / "p.lpreg")
     assert loaded.A.tobytes() == prob.A.tobytes()
-    assert peak <= 2 * prob.A.nbytes + 2**20
+    assert peak <= prob.A.nbytes + 2**20
+    _assert_read_only_with_bases(loaded)
 
 
 def test_dense_residual_copies_a_block_of_rows(wide_instance):
@@ -550,6 +580,66 @@ def test_trace_header_names_the_eps_kind(tmp_path, small_instance):
         assert loaded.eps_values == trace.eps_values
 
 
+def _csv_writer_trace(path, trace):
+    """The trace file as csv.writer writes it: the reference for save_trace."""
+    rows = zip(trace.f_values, trace.step_norms + [0.0], trace.residuals,
+               trace.support_sizes, trace.eps_values + [0.0], strict=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS + (EPS_COLUMNS[trace.eps_kind],))
+        writer.writerows([k] + [f"{v:.17g}" for v in row] for k, row in enumerate(rows))
+
+
+def _assert_same_trace(loaded, trace):
+    assert loaded.f_values == trace.f_values
+    assert loaded.step_norms == trace.step_norms
+    assert loaded.eps_values == trace.eps_values
+    assert loaded.residuals == trace.residuals
+    assert loaded.support_sizes == trace.support_sizes
+    assert loaded.eps_kind == trace.eps_kind
+
+
+def test_save_trace_writes_the_bytes_of_csv_writer(tmp_path, small_instance):
+    prob, _ = small_instance
+    cfg = SolverConfig(v=default_stepsize(prob), max_iters=60,
+                       inexact=Schedule.geometric(0.3, 0.7))
+    traces = [run(prob, cfg) for run in (run_pga, run_ipga_1p, run_ipga_2p)]
+    # extreme floats, a signed zero and ints where floats go
+    traces.append(IterationTrace(
+        algo="pga", f_values=[1.7976931348623157e308, 5e-324, -0.0, 3],
+        step_norms=[5e-324, 1.7976931348623157e308, 2], residuals=[-0.0, 0, 1e-300, 7],
+        support_sizes=[4, 0, 2**40, 1], eps_values=[0.0, -0.0, 0], eps_kind="dist"))
+    for trace in traces:
+        save_trace(tmp_path / "t.csv", trace)
+        _csv_writer_trace(tmp_path / "ref.csv", trace)
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        _assert_same_trace(load_trace(tmp_path / "t.csv"), trace)
+
+
+def test_trace_roundtrip_of_many_rows(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 20_000
+    trace = IterationTrace(
+        algo="ipga1p", f_values=(rng.random(n) * 1e3).tolist(),
+        step_norms=rng.standard_exponential(n - 1).tolist(),
+        residuals=(rng.random(n) ** 9).tolist(), support_sizes=rng.integers(0, 99, n).tolist(),
+        eps_values=(rng.random(n - 1) * 1e-12).tolist(), eps_kind="value")
+    save_trace(tmp_path / "t.csv", trace)
+    _csv_writer_trace(tmp_path / "ref.csv", trace)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _assert_same_trace(load_trace(tmp_path / "t.csv"), trace)
+
+
+def test_trace_reads_blank_lines_and_either_line_end(tmp_path, small_instance):
+    prob, _ = small_instance
+    trace = run_pga(prob, SolverConfig(v=default_stepsize(prob), max_iters=10))
+    save_trace(tmp_path / "t.csv", trace)
+    lines = (tmp_path / "t.csv").read_bytes().split(b"\r\n")
+    for text in (b"\n".join(lines), b"\r\n\r\n".join(lines), b"\n\n".join(lines) + b"\n"):
+        (tmp_path / "t.csv").write_bytes(text)
+        _assert_same_trace(load_trace(tmp_path / "t.csv"), trace)
+
+
 HEADER = "k,F,step_norm,residual,support_size,eps_k\n"
 
 
@@ -562,11 +652,27 @@ HEADER = "k,F,step_norm,residual,support_size,eps_k\n"
     # a final row with a step or an eps lost the rows after it
     (HEADER + "0,1.0,0.5,0.0,1,0.0\n1,0.9,0.25,0.0,1,0.0\n", 3, "truncated"),
     (HEADER + "0,1.0,0.5,0.0,1,0.0\n1,0.9,0.0,0.0,1,1e-300\n", 3, "truncated"),
+    (HEADER + "0,1.0,0.5,0.0,1,0.0\n1,0.9,0.0,0.0,1\n", 3, "expected 6 columns, got 5"),
+    (HEADER + "0,1.0,0.5,0.0,1,0.0\n1,abc,0.0,0.0,1,0.0\n", 3,
+     "could not convert string to float: 'abc'"),
+    (HEADER + "0,1.0,0.5,0.0,1.5,0.0\n1,0.9,0.0,0.0,1,0.0\n", 2,
+     r"invalid literal for int\(\) with base 10: '1.5'"),
+    # the first faulty row is reported, whichever column of a later row fails
+    (HEADER + "0,1.0,0.5,0.0,1,x\n1,0.9,0.0,0.0,1,0.0\nz,0.8,0.0,0.0,1,0.0\n", 2, "'x'"),
+    (HEADER + "0,1.0,0.5,0.0,1,0.0\n1,inf,0.5,0.0,1,0.0\n9,0.8,0.0,0.0,1,0.0\n", 3,
+     "non-finite"),
+    # blank lines are skipped, and count as lines
+    (HEADER + "\n0,1.0,0.5,0.0,1,0.0\n\n\n1,0.9,0.0,0.0,-1,0.0\n", 6,
+     "negative support_size -1"),
+    (HEADER.replace("\n", "\r\n") + "0,1.0,0.5,0.0,1,0.0\r\n2,0.9,0.0,0.0,1,0.0\r\n", 3,
+     "k=2, expected 1"),
 ], ids=["header-only", "unknown-eps-column", "k-not-from-0", "k-skips",
-        "negative-support", "final-step-nonzero", "final-eps-nonzero"])
+        "negative-support", "final-step-nonzero", "final-eps-nonzero",
+        "five-columns", "non-numeric-cell", "non-integer-support", "first-row-wins",
+        "non-finite-before-k", "blank-lines", "crlf-line-ends"])
 def test_trace_rejects_malformed_file(tmp_path, text, line, message):
     path = tmp_path / "trace.csv"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     with pytest.raises(ProblemFormatError, match=message) as info:
         load_trace(path)
     assert info.value.line == line
